@@ -269,7 +269,7 @@ def check_membership(taylor: np.ndarray, q: float, k: float, alpha: float, out: 
     if (certified == "member-sufficient") != (margin >= 0.0):
         bad(f"sufficient verdict {certified} disagrees with its margin {margin!r}")
 
-    s_certified, s_margin, witness = out["sampled"]
+    s_certified, _, witness = out["sampled"]
     if s_certified == "not-member-witness":
         if certified == "member-sufficient":
             bad(f"sufficiently certified member got a sampled witness at {witness}")

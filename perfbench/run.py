@@ -27,13 +27,13 @@ SRC = ROOT / "src"
 OUT = HERE / "out"
 
 WORKLOADS = ("ledger-default", "membership-batch", "cli-verbs")
-SETUP_PROBES = 9
+SETUP_PROBES = 15
 IMPORT_PROBES = 3
 DEADLINE_S = 170.0
 
 # Set-up probe per workload: a fresh interpreter that imports what the
-# workload's first item needs and says so; cli-verbs times a whole cold
-# `python -m qstarlike --version`.
+# workload's first item needs and says so; for cli-verbs, a cold
+# `python -m qstarlike --version` up to the line it prints.
 PROBES = {
     "ledger-default": ["-c", "import qstarlike.verify; print('ready', flush=True)"],
     "membership-batch": ["-c", "import qstarlike.classes; print('ready', flush=True)"],
