@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import resource
-import statistics
 import sys
 import time
 
@@ -73,7 +72,7 @@ def main() -> int:
     while not walls or time.perf_counter() - begin < args.seconds:
         wall, lat = run_round(items, failures, unexpected)
         walls.append(wall)
-        latencies.extend(lat)
+        latencies.append(lat)
     rounds = len(walls)
 
     usage = resource.RUSAGE_SELF if in_process else resource.RUSAGE_CHILDREN
@@ -81,7 +80,7 @@ def main() -> int:
         "rounds": rounds,
         "items_per_round": len(items),
         "round_walls": walls,
-        "latencies": latencies,
+        "round_latencies": latencies,
         "peak_rss_kb": resource.getrusage(usage).ru_maxrss,
     }
     if trace:
@@ -93,8 +92,10 @@ def main() -> int:
             tracer.uninstall()
         rounds += 1
         layers = tracer.layer_metrics()
-        layers["trace.overhead_s"] = (traced_wall - statistics.median(walls), "s")
-        layers["trace.spans"] = (len(tracer.start), "count")
+        spans = len(tracer.start)
+        layers["trace.overhead_s"] = (traced_wall - walls[-1], "s")
+        layers["trace.spans"] = (spans, "count")
+        layers["trace.span_cost_s"] = (spans * Tracer.seconds_per_span(), "s")
         summary["layers"] = layers
         tracer.write(os.path.join(args.out, f"trace-{args.workload}.npz"))
     summary["attempted"] = rounds * len(items)
