@@ -25,16 +25,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import series as ser
 from .conic import ClassParams, conic_margin
-from .qcalc import symmetric_q_number, symmetric_q_derivative
+from .qcalc import _q_factor_table, symmetric_q_number, symmetric_q_derivative
 from .series import (
     DEFAULT_ORDER,
     DiskGrid,
-    SingularDivisionError,
     TruncatedSeries,
     default_disk_grid,
     require_normalized,
@@ -45,8 +45,9 @@ CERTIFIED_MEMBER_IFF_NEGATIVE = "member-iff-negative"
 CERTIFIED_NOT_MEMBER_WITNESS = "not-member-witness"
 CERTIFIED_INCONCLUSIVE = "inconclusive"
 
-# Signed coefficients this close to zero are treated as exactly zero by
-# the negative-coefficient form validator.
+# Rounding noise the negative-coefficient form validator forgives in a
+# coefficient's sign and imaginary part.  It only decides acceptance: phi_n
+# reaches 1e19 at q = 0.5, n = 64, so no |a_n| is ever rounded to zero.
 T_FORM_ZERO_TOL = 1e-14
 
 
@@ -69,10 +70,11 @@ class MembershipVerdict:
             raise ValueError("a not-member verdict must carry a witness point")
 
     def to_json_dict(self) -> dict:
+        """JSON-safe form; a margin of -inf (a zero of f) is written as null."""
         w = self.witness
         return {
             "certified": self.certified,
-            "margin": self.margin,
+            "margin": self.margin if math.isfinite(self.margin) else None,
             "witness": None if w is None else [w.real, w.imag],
         }
 
@@ -102,6 +104,15 @@ def threshold_denominator(n: int, p: ClassParams) -> float:
     return symmetric_q_number(n, p.q) * (p.k + 1.0) - (p.k + p.alpha)
 
 
+@lru_cache(maxsize=64)
+def phi_table(p: ClassParams, order: int) -> np.ndarray:
+    """Read-only (phi_2, ..., phi_order), elementwise equal to threshold_denominator."""
+    brackets = np.array(_q_factor_table(p.q, order, True)[1:])
+    phi = brackets * (p.k + 1.0) - (p.k + p.alpha)
+    phi.flags.writeable = False
+    return phi
+
+
 def coefficient_threshold(n: int, p: ClassParams) -> float:
     """Largest |a_n| that the sufficient condition certifies on its own."""
     return (1.0 - p.alpha) / threshold_denominator(n, p)
@@ -110,9 +121,7 @@ def coefficient_threshold(n: int, p: ClassParams) -> float:
 def sufficient_condition_margin(f: TruncatedSeries, p: ClassParams) -> float:
     """(1 - alpha) - sum(phi_n |a_n|); nonnegative certifies membership."""
     require_normalized(f, "the sufficient coefficient condition")
-    total = math.fsum(
-        threshold_denominator(n, p) * abs(f.coeffs[n]) for n in range(2, f.order + 1)
-    )
+    total = math.fsum(phi * abs(c) for phi, c in zip(phi_table(p, f.order), f.coeffs[2:]))
     return (1.0 - p.alpha) - total
 
 
@@ -124,20 +133,21 @@ def sufficient_membership(f: TruncatedSeries, p: ClassParams) -> MembershipVerdi
 
 
 def t_form_magnitudes(f: TruncatedSeries) -> tuple[float, ...]:
-    """(a2, a3, ...) >= 0 for f = z - a2 z^2 - ...; raises TFormError otherwise."""
+    """(|a2|, |a3|, ...) for f = z - a2 z^2 - ...; raises TFormError otherwise.
+
+    Each coefficient must be real and nonpositive up to T_FORM_ZERO_TOL;
+    the magnitudes returned are exact, however small.
+    """
     require_normalized(f, "the negative-coefficient form")
     mags = []
     for n in range(2, f.order + 1):
         c = f.coeffs[n]
-        if abs(c) < T_FORM_ZERO_TOL:
-            mags.append(0.0)
-            continue
         if abs(c.imag) > T_FORM_ZERO_TOL or c.real > T_FORM_ZERO_TOL:
             raise TFormError(
                 f"coefficient of z^{n} is {c!r}; the negative-coefficient form needs "
                 "real, nonpositive values there"
             )
-        mags.append(-c.real)
+        mags.append(abs(c))
     return tuple(mags)
 
 
@@ -149,9 +159,7 @@ def ts_membership(f: TruncatedSeries, p: ClassParams) -> MembershipVerdict:
     the real axis shows it is violated exactly in the limit z -> 1-.
     """
     mags = t_form_magnitudes(f)
-    total = math.fsum(
-        threshold_denominator(n, p) * a for n, a in enumerate(mags, start=2)
-    )
+    total = math.fsum(phi * a for phi, a in zip(phi_table(p, f.order), mags))
     margin = (1.0 - p.alpha) - total
     # Members sitting exactly on the threshold can land an ulp below zero;
     # the slop is a few machine epsilons of the sum, not a modeling tolerance.
@@ -175,8 +183,10 @@ def sampled_membership(
 
     Returns the first failing point in (radius, angle) order as a
     not-member witness, or an inconclusive verdict with the minimum
-    margin seen.  A grid cannot certify membership; certification comes
-    only from the coefficient theorems.
+    margin seen.  A grid point where f vanishes is a pole of w and is
+    reported first, as a witness with margin -inf: a member has no zero
+    in the punctured disk.  A grid cannot certify membership;
+    certification comes only from the coefficient theorems.
     """
     if grid is None:
         grid = default_disk_grid()
@@ -186,8 +196,8 @@ def sampled_membership(
     tiny = np.abs(f_vals) < 1e-12
     if tiny.any():
         i, j = map(int, np.argwhere(tiny)[0])
-        raise SingularDivisionError(
-            f"f vanishes at grid point z = {z[i, j]:.6g} (radius index {i}, angle index {j})"
+        return MembershipVerdict(
+            CERTIFIED_NOT_MEMBER_WITNESS, margin=-math.inf, witness=complex(z[i, j])
         )
     w_vals = ser.evaluate_on_grid(w_series, grid)
     margins = w_vals.real - p.k * np.abs(w_vals - 1.0) - p.alpha
@@ -250,8 +260,7 @@ def distortion_equality_function(p: ClassParams, order: int = DEFAULT_ORDER) -> 
 def extreme_point_decompose(f: TruncatedSeries, p: ClassParams) -> DecompositionWeights:
     """Weights lambda_n = phi_n |a_n| / (1-alpha), lambda_1 = 1 - sum(rest)."""
     mags = t_form_magnitudes(f)
-    lams = [threshold_denominator(n, p) * a / (1.0 - p.alpha)
-            for n, a in enumerate(mags, start=2)]
+    lams = [phi * a / (1.0 - p.alpha) for phi, a in zip(phi_table(p, f.order), mags)]
     lam1 = 1.0 - math.fsum(lams)
     if lam1 < -1e-12:
         raise DecompositionError(
@@ -270,8 +279,9 @@ def extreme_point_compose(
         order = max(DEFAULT_ORDER, n_max)
     taylor = [0j] * order
     taylor[0] = 1.0 + 0j
+    phi = phi_table(p, n_max)
     for n in range(2, n_max + 1):
-        taylor[n - 1] = -w.lambdas[n - 1] * coefficient_threshold(n, p)
+        taylor[n - 1] = -w.lambdas[n - 1] * ((1.0 - p.alpha) / phi[n - 2])
     return TruncatedSeries.from_taylor(taylor, order=order)
 
 
@@ -284,7 +294,7 @@ def random_certified_member(
     random fraction of the budget 1 - alpha.
     """
     raw = rng.random(order - 1)
-    phi = np.array([threshold_denominator(n, p) for n in range(2, order + 1)])
+    phi = phi_table(p, order)
     budget = rng.random() * (1.0 - p.alpha)
     scale = budget / float(raw @ phi)
     taylor = [1.0 + 0j] + [complex(-v) for v in raw * scale]

@@ -153,10 +153,7 @@ def _resolve_conic(args, p: ClassParams) -> ConicCoefficients:
 
 
 def _oracle_grid(args) -> ver.OracleGrid:
-    return ver.OracleGrid(
-        nB=args.nB, nRho=args.nRho, nPhi=args.nPhi, nZeta=args.nZeta,
-        refinement=args.refine,
-    )
+    return ver.OracleGrid(nB=args.nB, nRho=args.nRho, nPhi=args.nPhi, refinement=args.refine)
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -302,7 +299,7 @@ def _cmd_oracle(args, cfg: CliConfig) -> int:
     P = _resolve_conic(args, p)
     grid = _oracle_grid(args)
     if args.which == "h2":
-        result = ver.oracle_h2_max(P, p.q, grid, threads=args.threads)
+        result = ver.oracle_h2_max(P, p.q, grid)
     else:
         if args.mu is None:
             raise CliError("--mu is required for the fs oracle")
@@ -312,10 +309,6 @@ def _cmd_oracle(args, cfg: CliConfig) -> int:
         "argmax": result.argmax_json(),
         "levels": list(result.level_values),
     }
-    if args.phase_scan:
-        if args.which != "h2":
-            raise CliError("--phase-scan applies only to the h2 oracle")
-        body["phase_diagnostic"] = ver.phase_diagnostic_h2(P, p.q)
     payload = _payload(
         {"which": args.which, "q": p.q, "k": p.k, "alpha": p.alpha,
          "mu": args.mu, "P1": P.P1, "P2": P.P2, "P3": P.P3,
@@ -348,7 +341,6 @@ def _cmd_ledger(args, cfg: CliConfig) -> int:
         grid=_oracle_grid(args),
         user_conic=_user_conic(args),
         tolerance=args.tolerance,
-        threads=args.threads,
     )
     if args.json_out:
         report.write_json(args.json_out)
@@ -430,10 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--nB", type=int, default=101)
         sp.add_argument("--nRho", type=int, default=41)
         sp.add_argument("--nPhi", type=int, default=64)
-        sp.add_argument("--nZeta", type=int, default=32)
         sp.add_argument("--refine", type=int, default=2)
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: QSTARLIKE_THREADS or 1)")
 
     sp = sub.add_parser("qnum", help="evaluate a q-number or symmetric q-number")
     sp.add_argument("--n", type=float, default=None)
@@ -479,8 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--which", choices=("h2", "fs"), required=True)
     sp.add_argument("--mu", type=float, default=None)
     sp.add_argument("--mu-imag", type=float, default=None)
-    sp.add_argument("--phase-scan", action="store_true",
-                    help="add the complex-phase B1 diagnostic (informational)")
     class_flags(sp)
     grid_flags(sp)
     common(sp, conic=True)
@@ -514,7 +501,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

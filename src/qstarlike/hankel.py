@@ -91,20 +91,6 @@ def caratheodory_b2_b3(b1, x, zeta):
     return b2, b3
 
 
-def caratheodory_b2_b3_general(b1, x, zeta):
-    """Conjugate form of the parametrization, valid for complex b1.
-
-    The disk gap is 4 - |b1|^2 and the x^2 term carries conj(b1); for
-    real b1 this reduces to caratheodory_b2_b3.  Used by the phase
-    diagnostic, which leaves the real-B1 normalization.
-    """
-    gap = 4.0 - abs(b1) ** 2
-    b2 = (b1 * b1 + x * gap) / 2.0
-    b3 = (b1**3 + 2.0 * gap * b1 * x - b1.conjugate() * gap * x * x
-          + 2.0 * gap * (1.0 - abs(x) ** 2) * zeta) / 4.0
-    return b2, b3
-
-
 def caratheodory_from_parameters(t: SchwarzTriple) -> CaratheodoryCoefficients:
     b2, b3 = caratheodory_b2_b3(t.B1, t.x, t.zeta)
     return CaratheodoryCoefficients(t.B1, b2, b3)

@@ -35,6 +35,7 @@ automatically.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .series import NormalizationError, TruncatedSeries
@@ -82,8 +83,13 @@ def _symmetric_q_number_any(n: int, q: float) -> float:
     if q <= 0.0:
         raise ValueError(f"q must be positive, got {q}")
     total = 0.0
-    for j in range(n):
-        total += q ** (2 * j - n + 1)
+    try:
+        for j in range(n):
+            total += q ** (2 * j - n + 1)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise OverflowError(f"[{n}]~_q overflows a double at q={q}")
     return total
 
 

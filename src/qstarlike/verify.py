@@ -3,19 +3,26 @@
 The oracles maximize coefficient functionals over the exact
 parametrization that generates class members: B1 runs over [0, 2]
 (real, following the usual normalization by rotation), x = rho e^{i phi}
-over the closed unit disk, and zeta over the unit circle plus an
-interior safety ring at |zeta| = 1/2.  Every sampled point therefore
-yields a genuine Caratheodory triple, which is validated per chunk
-(|B2|, |B3| <= 2); a violation aborts the scan rather than producing a
-fictitious functional value.
+over the closed unit disk, and zeta over the closed unit disk.  Each
+functional is affine in its innermost variable, and the maximum of
+|c0 + c1 w| over |w| <= 1 is exactly |c0| + |c1|, attained at
+w = (c0/|c0|) / (c1/|c1|):
+
+* a2 a4 - a3^2 = u + v zeta for fixed (B1, x), since a4 is affine in B3
+  and B3 in zeta, with v = a2 P1 (4 - B1^2)(1 - |x|^2) / (4 q4);
+* a3 - mu a2^2 = c0 + c1 x for fixed B1, with c1 = P1 (4 - B1^2) / (4 q3).
+
+So the H2 oracle scans (B1, rho, phi) and the Fekete-Szego oracle scans
+B1 alone, each taking the inner maximum in closed form.  Every sampled
+point is validated as a genuine Caratheodory triple for the whole inner
+disk (|B2|, |B3| <= 2); a violation aborts the scan rather than
+producing a fictitious functional value.
 
 Scans are grid search plus local refinement: after the coarse pass the
 running argmax is re-sampled on a window of one coarse cell at 8x the
 density, per refinement level.  Each refinement window contains the
 current argmax exactly, so the reported maximum never decreases across
-levels.  Reduction is deterministic: chunks are reduced in axis order
-and ties keep the lexicographically smallest (B1, rho, phi, zeta) index,
-independent of the worker count.
+levels.  Ties keep the lexicographically smallest grid index.
 
 run_ledger() assembles one record per claim per parameter point,
 comparing each closed-form bound against its oracle maximum.  A negative
@@ -29,8 +36,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +49,9 @@ from .classes import (
     extremal_function,
     extreme_point_compose,
     extreme_point_decompose,
+    phi_table,
     random_certified_member,
     sampled_membership,
-    threshold_denominator,
     DecompositionWeights,
     CERTIFIED_NOT_MEMBER_WITNESS,
 )
@@ -54,7 +59,6 @@ from .conic import ClassParams, ConicCoefficients, UnsupportedConicRegimeError, 
 from .hankel import (
     SchwarzTriple,
     caratheodory_b2_b3,
-    caratheodory_b2_b3_general,
     fekete_szego_bound_complex,
     fekete_szego_breakpoint,
     h2_bound,
@@ -71,9 +75,11 @@ STATUS_RECONSTRUCTED = "reconstructed-input"
 STATUS_MISSING = "reconstructed-input-missing"
 
 CARATHEODORY_TOL = 1e-9
-ZETA_RADII = (1.0, 0.5)
 
-_B1_CHUNK = 4
+# The H2 scan evaluates all nB * nRho * nPhi points at once and peaks at
+# about 110 bytes per point (113 MB at this cap with 64-bit numpy), so the
+# cap, four times the default grid of 265,024 points, bounds its memory.
+MAX_GRID_POINTS = 2**20
 
 
 class OracleSoundnessError(RuntimeError):
@@ -82,11 +88,16 @@ class OracleSoundnessError(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleGrid:
-    """Sample counts for the (B1, rho, phi, zeta) scan.
+    """Sample counts for the (B1, rho, phi) scan.
 
     B1 and rho axes include their endpoints ({0, 2} and {0, 1}); the
-    angular axes cover [0, 2 pi) without the duplicate endpoint.
+    angular axis covers [0, 2 pi) without the duplicate endpoint.
     refinement counts the local 8x re-sampling passes around the argmax.
+    nB * nRho * nPhi may not exceed MAX_GRID_POINTS.
+
+    nZeta is accepted and unused: the oracles maximize over zeta in
+    closed form.  The field stays so that existing callers that pass it
+    keep working.
     """
 
     nB: int = 101
@@ -96,17 +107,21 @@ class OracleGrid:
     refinement: int = 2
 
     def __post_init__(self):
-        for name in ("nB", "nRho", "nPhi", "nZeta"):
+        for name in ("nB", "nRho", "nPhi"):
             if getattr(self, name) < 8:
                 raise ValueError(f"{name} must be at least 8")
         if self.refinement < 0:
             raise ValueError("refinement must be nonnegative")
+        points = self.nB * self.nRho * self.nPhi
+        if points > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid nB * nRho * nPhi = {points} exceeds the cap of {MAX_GRID_POINTS} points"
+            )
 
     def to_json_dict(self) -> dict:
         return {
             "nB": self.nB, "nRho": self.nRho, "nPhi": self.nPhi,
-            "nZeta": self.nZeta, "refinement": self.refinement,
-            "zeta_radii": list(ZETA_RADII),
+            "refinement": self.refinement,
         }
 
 
@@ -125,14 +140,6 @@ class OracleResult:
         }
 
 
-def default_thread_count() -> int:
-    raw = os.environ.get("QSTARLIKE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # --- scan machinery ---------------------------------------------------------
 
 
@@ -147,65 +154,60 @@ def _check_caratheodory(b2, b3=None) -> None:
         raise OracleSoundnessError(f"|B3| reached {np.abs(b3).max()}; parametrization bug")
 
 
-def _h2_chunk(consts, b_vals, x_grid, zeta_grid, parametrization=caratheodory_b2_b3):
-    """Max of |a2 a4 - a3^2| over b_vals x x_grid x zeta_grid.
+def _unit_ratio(c0, c1) -> complex:
+    """(c0/|c0|) / (c1/|c1|), the w maximizing |c0 + c1 w| on |w| <= 1; 1 if either is 0."""
+    c0, c1 = complex(c0), complex(c1)
+    if c0 == 0 or c1 == 0:
+        return 1.0 + 0j
+    return (c0 / abs(c0)) / (c1 / abs(c1))
 
-    Returns (max, flat index) with C-order axes (B, rho, phi, zphi, zr).
-    """
+
+def _h2_parts(consts, b, x):
+    """(u, v) with a2 a4 - a3^2 = u + v zeta, elementwise in real b and complex x."""
     P1, P2, P3, q2, q3, q4 = consts
-    b = b_vals[:, None, None, None, None]
-    x = x_grid[None, :, :, None, None]
-    zeta = zeta_grid[None, None, None, :, :]
-    b2, b3 = parametrization(b, x, zeta)
-    _check_caratheodory(b2, b3)
+    gap = 4.0 - b * b
+    b2, b3 = caratheodory_b2_b3(b, x, 0.0)
+    zeta_term = gap * (1.0 - np.abs(x) ** 2) / 2.0  # |d B3 / d zeta|
+    _check_caratheodory(b2, np.abs(b3) + zeta_term)
     a2, a3, a4 = schwarz_to_coefficients(P1, P2, P3, q2, q3, q4, b, b2, b3)
-    vals = np.abs(a2 * a4 - a3 * a3)
-    flat = int(np.argmax(vals))
-    return float(vals.flat[flat]), flat, vals.shape
+    return a2 * a4 - a3 * a3, a2 * P1 * zeta_term / (2.0 * q4)
 
 
-def _fs_chunk(consts, mu, b_vals, x_grid):
+def _fs_parts(consts, mu, b):
+    """(c0, c1) with a3 - mu a2^2 = c0 + c1 x, elementwise in real b."""
     P1, P2, P3, q2, q3, q4 = consts
-    b = b_vals[:, None, None]
-    x = x_grid[None, :, :]
-    b2, _ = caratheodory_b2_b3(b, x, 0.0)
-    _check_caratheodory(b2)
+    gap = 4.0 - b * b
+    b2, _ = caratheodory_b2_b3(b, 0.0, 0.0)
+    _check_caratheodory(np.abs(b2) + gap / 2.0)
     a2, a3, _ = schwarz_to_coefficients(P1, P2, P3, q2, q3, q4, b, b2, 0.0)
-    vals = np.abs(a3 - mu * a2 * a2)
+    return a3 - mu * a2 * a2, P1 * gap / (4.0 * q3)
+
+
+def _h2_chunk(consts, b_vals, x_grid):
+    """Max over b_vals x x_grid of max_zeta |a2 a4 - a3^2| = |u| + |v|.
+
+    Returns (max, flat index, shape) with C-order axes (B, rho, phi).
+    """
+    u, v = _h2_parts(consts, b_vals[:, None, None], x_grid[None, :, :])
+    vals = np.abs(u) + np.abs(v)
     flat = int(np.argmax(vals))
     return float(vals.flat[flat]), flat, vals.shape
 
 
-def _scan_h2(consts, b_axis, rho_axis, phi_axis, zphi_axis, zr_axis, threads):
-    """Deterministic chunked max over the full cartesian grid."""
+def _fs_chunk(consts, mu, b_vals):
+    """Max over b_vals of max_x |a3 - mu a2^2| = |c0| + |c1|.
+
+    Returns (max, index, c0 at that index).
+    """
+    c0, c1 = _fs_parts(consts, mu, b_vals)
+    vals = np.abs(c0) + np.abs(c1)
+    i = int(np.argmax(vals))
+    return float(vals[i]), i, complex(c0[i])
+
+
+def _scan_h2(consts, b_axis, rho_axis, phi_axis):
     x_grid = rho_axis[:, None] * np.exp(1j * phi_axis)[None, :]
-    zeta_grid = np.exp(1j * zphi_axis)[:, None] * zr_axis[None, :]
-    starts = list(range(0, len(b_axis), _B1_CHUNK))
-
-    def work(start):
-        return start, _h2_chunk(consts, b_axis[start:start + _B1_CHUNK], x_grid, zeta_grid)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, starts))
-    else:
-        results = [work(s) for s in starts]
-
-    best_val, best_params = -math.inf, None
-    for start, (val, flat, shape) in results:  # chunk order fixes the tie-break
-        if val > best_val:
-            ib, ir, ip, izp, izr = np.unravel_index(flat, shape)
-            best_val = val
-            best_params = (
-                float(b_axis[start + ib]), float(rho_axis[ir]), float(phi_axis[ip]),
-                float(zphi_axis[izp]), float(zr_axis[izr]),
-            )
-    return best_val, best_params
-
-
-def _scan_fs(consts, mu, b_axis, rho_axis, phi_axis):
-    x_grid = rho_axis[:, None] * np.exp(1j * phi_axis)[None, :]
-    val, flat, shape = _fs_chunk(consts, mu, b_axis, x_grid)
+    val, flat, shape = _h2_chunk(consts, b_axis, x_grid)
     ib, ir, ip = np.unravel_index(flat, shape)
     return val, (float(b_axis[ib]), float(rho_axis[ir]), float(phi_axis[ip]))
 
@@ -225,63 +227,9 @@ def _resolve_constants(P: ConicCoefficients, q: float):
 
 
 def oracle_h2_max(
-    P: ConicCoefficients, q: float, grid: OracleGrid | None = None, threads: int | None = None
+    P: ConicCoefficients, q: float, grid: OracleGrid | None = None
 ) -> OracleResult:
-    """Grid-plus-refinement maximum of |a2 a4 - a3^2| over the parametrization."""
-    grid = grid or OracleGrid()
-    threads = default_thread_count() if threads is None else max(1, threads)
-    consts = _resolve_constants(P, q)
-    zr_axis = np.asarray(ZETA_RADII)
-
-    b_axis = np.linspace(0.0, 2.0, grid.nB)
-    rho_axis = np.linspace(0.0, 1.0, grid.nRho)
-    phi_axis = _angle_axis(grid.nPhi)
-    zphi_axis = _angle_axis(grid.nZeta)
-
-    best_val, params = _scan_h2(consts, b_axis, rho_axis, phi_axis, zphi_axis, zr_axis, threads)
-    levels = [best_val]
-
-    h_b = 2.0 / (grid.nB - 1)
-    h_rho = 1.0 / (grid.nRho - 1)
-    h_phi = 2.0 * np.pi / grid.nPhi
-    h_zphi = 2.0 * np.pi / grid.nZeta
-    for _ in range(grid.refinement):
-        b0, rho0, phi0, zphi0, zr0 = params
-        val, new_params = _scan_h2(
-            consts,
-            _refined_axis(b0, h_b, 0.0, 2.0),
-            _refined_axis(rho0, h_rho, 0.0, 1.0),
-            _refined_axis(phi0, h_phi),
-            _refined_axis(zphi0, h_zphi),
-            zr_axis,
-            threads=1,
-        )
-        if val > best_val:
-            best_val, params = val, new_params
-        levels.append(best_val)
-        h_b, h_rho, h_phi, h_zphi = h_b / 8.0, h_rho / 8.0, h_phi / 8.0, h_zphi / 8.0
-
-    b0, rho0, phi0, zphi0, zr0 = params
-    argmax = SchwarzTriple(
-        B1=b0,
-        x=min(rho0, 1.0) * np.exp(1j * phi0),
-        zeta=zr0 * np.exp(1j * zphi0),
-    )
-    return OracleResult(best_val, argmax, tuple(levels))
-
-
-def oracle_fs_max(
-    mu: complex, P: ConicCoefficients, q: float, grid: OracleGrid | None = None,
-    threads: int | None = None,
-) -> OracleResult:
-    """Grid-plus-refinement maximum of |a3 - mu a2^2|.
-
-    a2 and a3 involve only B1 and x, so the zeta axes of the scan are
-    degenerate: the functional is constant along them, and the argmax
-    carries the first zeta grid point (angle 0, radius 1) exactly as a
-    materialized full scan would report under the lexicographic
-    tie-break.
-    """
+    """Grid-plus-refinement maximum of |a2 a4 - a3^2| over (B1, x), exact in zeta."""
     grid = grid or OracleGrid()
     consts = _resolve_constants(P, q)
 
@@ -289,7 +237,7 @@ def oracle_fs_max(
     rho_axis = np.linspace(0.0, 1.0, grid.nRho)
     phi_axis = _angle_axis(grid.nPhi)
 
-    best_val, params = _scan_fs(consts, mu, b_axis, rho_axis, phi_axis)
+    best_val, params = _scan_h2(consts, b_axis, rho_axis, phi_axis)
     levels = [best_val]
 
     h_b = 2.0 / (grid.nB - 1)
@@ -297,8 +245,8 @@ def oracle_fs_max(
     h_phi = 2.0 * np.pi / grid.nPhi
     for _ in range(grid.refinement):
         b0, rho0, phi0 = params
-        val, new_params = _scan_fs(
-            consts, mu,
+        val, new_params = _scan_h2(
+            consts,
             _refined_axis(b0, h_b, 0.0, 2.0),
             _refined_axis(rho0, h_rho, 0.0, 1.0),
             _refined_axis(phi0, h_phi),
@@ -309,44 +257,40 @@ def oracle_fs_max(
         h_b, h_rho, h_phi = h_b / 8.0, h_rho / 8.0, h_phi / 8.0
 
     b0, rho0, phi0 = params
-    argmax = SchwarzTriple(
-        B1=b0, x=min(rho0, 1.0) * np.exp(1j * phi0), zeta=complex(ZETA_RADII[0]),
-    )
+    x = min(rho0, 1.0) * np.exp(1j * phi0)
+    u, v = _h2_parts(consts, b0, x)
+    argmax = SchwarzTriple(B1=b0, x=x, zeta=_unit_ratio(u, v))
     return OracleResult(best_val, argmax, tuple(levels))
 
 
-def phase_diagnostic_h2(
-    P: ConicCoefficients, q: float, n_phase: int = 16, grid: OracleGrid | None = None
-) -> dict:
-    """Diagnostic scan with B1 rotated through complex phases.
+def oracle_fs_max(
+    mu: complex, P: ConicCoefficients, q: float, grid: OracleGrid | None = None
+) -> OracleResult:
+    """Grid-plus-refinement maximum of |a3 - mu a2^2| over B1, exact in x.
 
-    The oracles restrict B1 to the real segment [0, 2] (the usual
-    rotation normalization).  This scan repeats a coarse H2 search with
-    B1 e^{i psi} to show how much phase freedom could add; its result is
-    informational only and never feeds a ledger status.
+    a2 and a3 do not involve zeta, so the argmax carries zeta = 1.  Only
+    grid.nB and grid.refinement shape this scan.
     """
-    grid = grid or OracleGrid(nB=26, nRho=11, nPhi=16, nZeta=8, refinement=0)
+    grid = grid or OracleGrid()
     consts = _resolve_constants(P, q)
-    zr_axis = np.asarray(ZETA_RADII)
-    b_axis = np.linspace(0.0, 2.0, grid.nB)
-    rho_axis = np.linspace(0.0, 1.0, grid.nRho)
-    phi_axis = _angle_axis(grid.nPhi)
-    zphi_axis = _angle_axis(grid.nZeta)
-    x_grid = rho_axis[:, None] * np.exp(1j * phi_axis)[None, :]
-    zeta_grid = np.exp(1j * zphi_axis)[:, None] * zr_axis[None, :]
 
-    best = {"value": -math.inf, "psi": 0.0}
-    for psi in _angle_axis(n_phase):
-        rotated = b_axis * np.exp(1j * psi)
-        val, flat, shape = _h2_chunk(consts, rotated, x_grid, zeta_grid,
-                                     parametrization=caratheodory_b2_b3_general)
-        if val > best["value"]:
-            ib = np.unravel_index(flat, shape)[0]
-            best = {"value": val, "psi": float(psi), "B1_modulus": float(b_axis[ib])}
-    real_val, _, _ = _h2_chunk(consts, b_axis, x_grid, zeta_grid)
-    best["real_axis_value"] = real_val
-    best["phase_gain"] = best["value"] - real_val
-    return best
+    b_axis = np.linspace(0.0, 2.0, grid.nB)
+    best_val, i, best_c0 = _fs_chunk(consts, mu, b_axis)
+    b_best = float(b_axis[i])
+    levels = [best_val]
+
+    h_b = 2.0 / (grid.nB - 1)
+    for _ in range(grid.refinement):
+        window = _refined_axis(b_best, h_b, 0.0, 2.0)
+        val, i, c0 = _fs_chunk(consts, mu, window)
+        if val > best_val:
+            best_val, b_best, best_c0 = val, float(window[i]), c0
+        levels.append(best_val)
+        h_b /= 8.0
+
+    # c1 > 0 below B1 = 2 and c1 = 0 at B1 = 2, so x = c0/|c0| attains the maximum
+    argmax = SchwarzTriple(B1=b_best, x=_unit_ratio(best_c0, 1.0), zeta=1.0)
+    return OracleResult(best_val, argmax, tuple(levels))
 
 
 # --- ledger -----------------------------------------------------------------
@@ -515,7 +459,6 @@ def run_ledger(
     grid: OracleGrid | None = None,
     user_conic: ConicCoefficients | None = None,
     tolerance: float = 1e-6,
-    threads: int | None = None,
     distortion_members: int = 2000,
     rng_seed: int = 20260808,
 ) -> VerificationReport:
@@ -532,7 +475,9 @@ def run_ledger(
         "tolerance": tolerance,
         "restrictions": [
             "B1 restricted to the real segment [0, 2] (rotation normalization); "
-            "a separate phase diagnostic is available but never feeds a status",
+            "|a2 a4 - a3^2| and |a3 - mu a2^2| are unchanged by a_n -> e^{i(n-1)theta} a_n, "
+            "so no maximum is lost",
+            "zeta (H2) and x (Fekete-Szego) are maximized in closed form, not sampled",
             "parabolic-regime (k=1) coefficients are reconstructed from the cited "
             "parabolic disk map, not taken from the bound statements themselves",
         ],
@@ -542,13 +487,13 @@ def run_ledger(
     records: list[LedgerRecord] = []
     for index, p in enumerate(points):
         records.extend(
-            _point_records(p, grid, user_conic, tolerance, threads,
+            _point_records(p, grid, user_conic, tolerance,
                            distortion_members, rng_seed, index)
         )
     return VerificationReport(header=header, records=tuple(records))
 
 
-def _point_records(p, grid, user_conic, tolerance, threads,
+def _point_records(p, grid, user_conic, tolerance,
                    distortion_members, rng_seed, index) -> list[LedgerRecord]:
     def record(claim, anchor, bound, oracle, conic=None, argmax=None, mu=None,
                status=None):
@@ -575,7 +520,7 @@ def _point_records(p, grid, user_conic, tolerance, threads,
     rng = np.random.default_rng(np.random.SeedSequence([rng_seed, index]))
     out: list[LedgerRecord] = []
 
-    h2_oracle = oracle_h2_max(P, p.q, grid, threads=threads)
+    h2_oracle = oracle_h2_max(P, p.q, grid)
     out.append(record(
         "second-hankel-bound",
         "closed-form bound on |a2 a4 - a3^2| via the quadratic maximum over t = B1^2",
@@ -630,7 +575,7 @@ def _point_records(p, grid, user_conic, tolerance, threads,
 
     f2 = extremal_function(2, p)
     attained = math.fsum(
-        threshold_denominator(n, p) * abs(f2.coeffs[n]) for n in range(2, f2.order + 1)
+        phi * abs(c) for phi, c in zip(phi_table(p, f2.order), f2.coeffs[2:])
     )
     out.append(record(
         "t-class-budget-sharpness",

@@ -20,6 +20,7 @@ from qstarlike.classes import (
     extremal_function,
     extreme_point_compose,
     extreme_point_decompose,
+    phi_table,
     random_certified_member,
     sampled_membership,
     sufficient_condition_margin,
@@ -29,7 +30,6 @@ from qstarlike.classes import (
 from qstarlike.conic import ClassParams
 from qstarlike.series import (
     DiskGrid,
-    SingularDivisionError,
     TruncatedSeries,
     default_disk_grid,
 )
@@ -64,6 +64,14 @@ class TestThreshold:
     def test_needs_n_at_least_two(self):
         with pytest.raises(ValueError):
             coefficient_threshold(1, P_HALF)
+
+    def test_phi_table_matches_threshold_denominator(self):
+        for p in (P_HALF, P_CLASSICAL, ClassParams(0.8, 0.5, 0.2)):
+            for order in (1, 2, 16, 64):
+                phi = phi_table(p, order)
+                assert phi.tolist() == [cls.threshold_denominator(n, p)
+                                        for n in range(2, order + 1)]
+                assert not phi.flags.writeable
 
 
 class TestSufficientCondition:
@@ -117,6 +125,17 @@ class TestTsMembership:
         verdict = ts_membership(f, P_HALF)
         assert verdict.certified == CERTIFIED_MEMBER_IFF_NEGATIVE
 
+    def test_tiny_coefficient_keeps_its_weight(self):
+        # phi_64 is about 1.23e19 at q = 0.5, so a2..a63 = 0, a64 = -5e-15
+        # overspends the budget 1 by about 6e4: no member.
+        p = ClassParams(0.5, 0.0, 0.0)
+        f = member(1.0, *([0.0] * 62), -5e-15, order=64)
+        verdict = ts_membership(f, p)
+        assert verdict.certified == CERTIFIED_NOT_MEMBER_WITNESS
+        assert verdict.margin == pytest.approx(1.0 - 5e-15 * cls.threshold_denominator(64, p))
+        with pytest.raises(DecompositionError):
+            extreme_point_decompose(f, p)
+
 
 class TestSampledMembership:
     def test_identity_function_margin(self):
@@ -155,11 +174,14 @@ class TestSampledMembership:
                 return
         pytest.fail("manual scan found no witness")
 
-    def test_vanishing_f_raises(self):
+    def test_vanishing_f_is_witness(self):
         f = member(1.0, -2.0, order=8)  # f(0.5) = 0
         grid = DiskGrid(radii=(0.25, 0.5), n_angles=8)
-        with pytest.raises(SingularDivisionError):
-            sampled_membership(f, P_HALF, grid)
+        verdict = sampled_membership(f, P_HALF, grid)
+        assert verdict.certified == CERTIFIED_NOT_MEMBER_WITNESS
+        assert verdict.witness == pytest.approx(0.5)
+        assert verdict.margin == -math.inf
+        assert verdict.to_json_dict()["margin"] is None
 
     def test_derivative_series_rejected(self):
         from qstarlike.qcalc import symmetric_q_derivative

@@ -65,6 +65,14 @@ class TestQnum:
         assert code == EXIT_ERROR
         assert "--q" in err
 
+    def test_symmetric_overflow_is_one_line_error(self, capsys):
+        code, out, err = run_cli(capsys, "qnum", "--n", "400", "--q", "0.001", "--symmetric")
+        assert code == EXIT_ERROR
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "overflows" in lines[0]
+
     def test_conditioning_warning(self, capsys):
         code, _, err = run_cli(capsys, "qnum", "--n", "2", "--q", "1e-4", "--symmetric")
         assert code == EXIT_OK
@@ -121,6 +129,21 @@ class TestMemberAndExtremal:
         doc = json.loads(out)
         assert abs(doc["sufficient"]["margin"]) < 1e-12
         assert doc["t_form"]["certified"] == "member-iff-negative"
+
+    def test_vanishing_function_is_witness(self, capsys, tmp_path):
+        # f = z + z^2/0.52 vanishes at the grid point -0.52
+        fpath = write_function(tmp_path / "f.json", [1.0, 1.0 / 0.52], order=16)
+        code, out, _ = run_cli(capsys, "member", "--in", fpath, "--q", "0.5",
+                               "--k", "0", "--alpha", "0", "--format", "json")
+        assert code == EXIT_FINDINGS
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["sampled"]["certified"] == "not-member-witness"
+        assert doc["sampled"]["margin"] is None
+        assert complex(*doc["sampled"]["witness"]) == pytest.approx(-0.52)
 
     def test_witness_exit_code(self, capsys, tmp_path):
         fpath = write_function(tmp_path / "fat.json", [1.0, -0.9], order=8)
@@ -198,7 +221,7 @@ class TestOracleVerb:
     def test_h2_oracle_small_grid(self, capsys):
         code, out, _ = run_cli(
             capsys, "oracle", "--which", "h2", "--q", "1", "--k", "0", "--alpha", "0",
-            "--nB", "17", "--nRho", "9", "--nPhi", "12", "--nZeta", "8",
+            "--nB", "17", "--nRho", "9", "--nPhi", "12",
             "--refine", "1", "--format", "json",
         )
         assert code == EXIT_OK
@@ -212,14 +235,18 @@ class TestOracleVerb:
         assert code == EXIT_ERROR
         assert "--mu" in err
 
-    def test_phase_scan(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "oracle", "--which", "h2", "--q", "0.8", "--k", "0", "--alpha", "0",
-            "--nB", "9", "--nRho", "8", "--nPhi", "8", "--nZeta", "8",
-            "--refine", "0", "--phase-scan", "--format", "json",
-        )
-        assert code == EXIT_OK
-        assert "phase_diagnostic" in json.loads(out)
+    @pytest.mark.parametrize("verb", [
+        ("oracle", "--which", "h2", "--q", "1", "--k", "0", "--alpha", "0"),
+        ("ledger",),
+    ])
+    def test_grid_over_cap_is_usage_error(self, capsys, verb):
+        code, out, err = run_cli(capsys, *verb, "--nB", "100000", "--nRho", "100000",
+                                 "--nPhi", "100000")
+        assert code == EXIT_ERROR
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "exceeds the cap" in lines[0]
 
 
 class TestLedgerVerb:
@@ -230,7 +257,7 @@ class TestLedgerVerb:
         csv_out = tmp_path / "report.csv"
         code, out, _ = run_cli(
             capsys, "ledger", "--points", str(points),
-            "--nB", "17", "--nRho", "9", "--nPhi", "12", "--nZeta", "8", "--refine", "1",
+            "--nB", "17", "--nRho", "9", "--nPhi", "12", "--refine", "1",
             "--json-out", str(json_out), "--csv-out", str(csv_out),
         )
         assert code == EXIT_FINDINGS  # printed shortcut rows violate by design

@@ -6,9 +6,19 @@ import numpy as np
 import pytest
 
 from qstarlike.conic import ClassParams, ConicCoefficients, conic_coefficients
-from qstarlike.hankel import fekete_szego_breakpoint, h2_bound, symmetric_gaps
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qstarlike.hankel import (
+    caratheodory_b2_b3,
+    fekete_szego_breakpoint,
+    h2_bound,
+    schwarz_to_coefficients,
+    symmetric_gaps,
+)
 from qstarlike.verify import (
     CSV_FIELDS,
+    MAX_GRID_POINTS,
     OracleGrid,
     OracleSoundnessError,
     STATUS_MISSING,
@@ -17,11 +27,12 @@ from qstarlike.verify import (
     STATUS_VIOLATED,
     _check_caratheodory,
     _fs_chunk,
+    _fs_parts,
     _h2_chunk,
+    _h2_parts,
     default_parameter_points,
     oracle_fs_max,
     oracle_h2_max,
-    phase_diagnostic_h2,
     run_ledger,
 )
 
@@ -40,16 +51,26 @@ class TestOracleGrid:
         with pytest.raises(ValueError):
             OracleGrid(refinement=-1)
 
+    def test_point_cap(self):
+        assert 101 * 41 * 64 <= MAX_GRID_POINTS
+        OracleGrid(nB=MAX_GRID_POINTS // 64 // 8, nRho=8, nPhi=64)
+        # 1e18 points could never be allocated; the refusal comes first
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            OracleGrid(nB=10**6, nRho=10**6, nPhi=10**6)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            OracleGrid(nB=MAX_GRID_POINTS // 64 // 8 + 1, nRho=8, nPhi=64)
+
 
 class TestOracleScans:
     def test_degenerate_origin_cell_is_zero(self):
         consts = (P00.P1, P00.P2, P00.P3, *symmetric_gaps(1.0))
-        val, _, _ = _h2_chunk(
-            consts, np.array([0.0]), np.array([[0.0 + 0j]]), np.array([[0.0 + 0j]])
-        )
+        val, _, _ = _h2_chunk(consts, np.array([0.0]), np.array([[0.0 + 0j]]))
         assert val == 0.0
-        val_fs, _, _ = _fs_chunk(consts, 0.5, np.array([0.0]), np.array([[0.0 + 0j]]))
-        assert val_fs == 0.0
+        # at B1 = 0 the x-free part of a3 - mu a2^2 vanishes; the maximum
+        # over |x| <= 1 is |a3| = P1/q3 (the w(z) = z^2 member)
+        val_fs, _, c0 = _fs_chunk(consts, 0.5, np.array([0.0]))
+        assert c0 == 0.0
+        assert val_fs == pytest.approx(P00.P1 / symmetric_gaps(1.0)[1], rel=1e-15)
 
     def test_classical_h2_anchor(self):
         result = oracle_h2_max(P00, 1.0, SMALL)
@@ -65,11 +86,78 @@ class TestOracleScans:
             fs = oracle_fs_max(0.5, P, q, OracleGrid(nB=17, nRho=9, nPhi=12, nZeta=8, refinement=3))
             assert all(b >= a_ for a_, b in zip(fs.level_values, fs.level_values[1:]))
 
-    def test_deterministic_across_thread_counts(self):
-        a = oracle_h2_max(P00, 0.8, SMALL, threads=1)
-        b = oracle_h2_max(P00, 0.8, SMALL, threads=3)
-        c = oracle_h2_max(P00, 0.8, SMALL, threads=7)
-        assert a == b == c
+    @settings(max_examples=60, deadline=None)
+    @given(
+        b1=st.floats(0.0, 2.0),
+        x_r=st.floats(0.0, 1.0), x_t=st.floats(0.0, 2 * math.pi),
+        z_r=st.floats(0.0, 1.0), z_t=st.floats(0.0, 2 * math.pi),
+        theta=st.floats(0.0, 2 * math.pi),
+    )
+    def test_h2_rotation_invariance(self, b1, x_r, x_t, z_r, z_t, theta):
+        # Rotating the Caratheodory data, B_n -> e^{i n theta} B_n, rotates
+        # a_n -> e^{i (n-1) theta} a_n and leaves |a2 a4 - a3^2| unchanged,
+        # so restricting B1 to the real segment loses no maximum.
+        P = conic_coefficients(1.0, 0.25)
+        gaps = symmetric_gaps(0.7)
+        b2, b3 = caratheodory_b2_b3(b1, x_r * np.exp(1j * x_t), z_r * np.exp(1j * z_t))
+        rot = np.exp(1j * theta)
+        a2, a3, a4 = schwarz_to_coefficients(P.P1, P.P2, P.P3, *gaps, b1, b2, b3)
+        r2, r3, r4 = schwarz_to_coefficients(P.P1, P.P2, P.P3, *gaps,
+                                             b1 * rot, b2 * rot**2, b3 * rot**3)
+        scale = 1.0 + abs(a2) + abs(a3) + abs(a4)
+        for got, want in ((r2, a2 * rot), (r3, a3 * rot**2), (r4, a4 * rot**3)):
+            assert abs(got - want) <= 1e-13 * scale
+        assert abs(r2 * r4 - r3 * r3) == pytest.approx(abs(a2 * a4 - a3 * a3),
+                                                       rel=1e-12, abs=1e-13 * scale**2)
+
+    @pytest.mark.parametrize("q, k, alpha", [(1.0, 0.0, 0.0), (0.5, 1.0, 0.0), (0.8, 0.0, 0.25)])
+    def test_h2_exact_zeta_against_brute_force(self, q, k, alpha):
+        # Brute force over 32 points of |zeta| = 1 at every (B1, x) of a
+        # small grid.  The nearest grid angle is within pi/32 of the optimal
+        # one, so per cell the grid loses at most |v| (1 - cos(pi/32)).
+        P = conic_coefficients(k, alpha)
+        grid = OracleGrid(nB=9, nRho=8, nPhi=8, refinement=0)
+        consts = (P.P1, P.P2, P.P3, *symmetric_gaps(q))
+        b = np.linspace(0.0, 2.0, grid.nB)[:, None, None]
+        x = (np.linspace(0.0, 1.0, grid.nRho)[:, None]
+             * np.exp(2j * np.pi * np.arange(grid.nPhi) / grid.nPhi))[None, :, :]
+        zeta = np.exp(2j * np.pi * np.arange(32) / 32)
+        b2, b3 = caratheodory_b2_b3(b[..., None], x[..., None], zeta)
+        a2, a3, a4 = schwarz_to_coefficients(*consts, b[..., None], b2, b3)
+        brute = np.abs(a2 * a4 - a3 * a3).max(axis=-1)
+        u, v = _h2_parts(consts, b, x)
+        exact = np.abs(u) + np.abs(v)
+        allowance = np.abs(v) * (1.0 - math.cos(math.pi / 32)) + 1e-14
+        assert np.all(brute <= exact * (1.0 + 1e-12) + 1e-15)
+        assert np.all(exact <= brute + allowance)
+        assert np.abs(v).max() > 0.1 * exact.max()  # the zeta term is exercised
+        oracle = oracle_h2_max(P, q, grid).value
+        assert brute.max() <= oracle * (1.0 + 1e-12)
+        assert oracle <= brute.max() + allowance.max()
+
+    @pytest.mark.parametrize("q, k, alpha", [(1.0, 0.0, 0.0), (0.5, 1.0, 0.0), (0.8, 0.0, 0.25)])
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 2.5])
+    def test_fs_exact_x_against_brute_force(self, q, k, alpha, mu):
+        # Brute force over a (rho, phi) grid of x with 64 angles on |x| = 1
+        # at every B1 of the oracle's axis; per B1 the grid loses at most
+        # |c1| (1 - cos(pi/64)).
+        P = conic_coefficients(k, alpha)
+        grid = OracleGrid(nB=17, nRho=8, nPhi=8, refinement=0)
+        consts = (P.P1, P.P2, P.P3, *symmetric_gaps(q))
+        b = np.linspace(0.0, 2.0, grid.nB)
+        x = (np.linspace(0.0, 1.0, 9)[:, None]
+             * np.exp(2j * np.pi * np.arange(64) / 64)).ravel()
+        b2, _ = caratheodory_b2_b3(b[:, None], x, 0.0)
+        a2, a3, _ = schwarz_to_coefficients(*consts, b[:, None], b2, 0.0)
+        brute = np.abs(a3 - mu * a2 * a2).max(axis=-1)
+        c0, c1 = _fs_parts(consts, mu, b)
+        exact = np.abs(c0) + np.abs(c1)
+        allowance = np.abs(c1) * (1.0 - math.cos(math.pi / 64)) + 1e-14
+        assert np.all(brute <= exact * (1.0 + 1e-12) + 1e-15)
+        assert np.all(exact <= brute + allowance)
+        oracle = oracle_fs_max(mu, P, q, grid).value
+        assert brute.max() <= oracle * (1.0 + 1e-12)
+        assert oracle <= brute.max() + allowance.max()
 
     def test_argmax_value_matches_reported_max(self):
         from qstarlike.hankel import (
@@ -86,7 +174,8 @@ class TestOracleScans:
         mu = 0.7
         q = 0.6
         consts = (P00.P1, P00.P2, P00.P3, *symmetric_gaps(q))
-        sub_val, _, _ = _fs_chunk(consts, mu, np.linspace(0, 2, 21), np.array([[0.0 + 0j]]))
+        c0, _ = _fs_parts(consts, mu, np.linspace(0, 2, 21))
+        sub_val = float(np.abs(c0).max())
         full = oracle_fs_max(mu, P00, q, SMALL)
         assert full.value >= sub_val - 1e-12
 
@@ -112,19 +201,6 @@ class TestOracleScans:
         with pytest.raises(OracleSoundnessError):
             _check_caratheodory(np.array([3.0 + 0j]))
 
-    def test_phase_diagnostic_reports_gain(self):
-        diag = phase_diagnostic_h2(P00, 0.8)
-        assert set(diag) >= {"value", "psi", "real_axis_value", "phase_gain"}
-        assert diag["value"] >= diag["real_axis_value"] - 1e-12
-
-    def test_thread_count_env_default(self, monkeypatch):
-        from qstarlike.verify import default_thread_count
-        monkeypatch.delenv("QSTARLIKE_THREADS", raising=False)
-        assert default_thread_count() == 1
-        monkeypatch.setenv("QSTARLIKE_THREADS", "6")
-        assert default_thread_count() == 6
-        monkeypatch.setenv("QSTARLIKE_THREADS", "junk")
-        assert default_thread_count() == 1
 
 
 class TestLedger:
