@@ -50,6 +50,10 @@ CERTIFIED_INCONCLUSIVE = "inconclusive"
 # reaches 1e19 at q = 0.5, n = 64, so no |a_n| is ever rounded to zero.
 T_FORM_ZERO_TOL = 1e-14
 
+# Largest extremal index and order: phi_n grows like q^-(n-1) and overflows near
+# n = 1024 at q = 0.5; larger requests are refused before any allocation.
+MAX_EXTREMAL_ORDER = 1024
+
 
 class TFormError(ValueError):
     """Input is not of the negative-coefficient form z - a2 z^2 - ..."""
@@ -169,28 +173,22 @@ def ts_membership(f: TruncatedSeries, p: ClassParams) -> MembershipVerdict:
     return MembershipVerdict(CERTIFIED_NOT_MEMBER_WITNESS, margin, witness=1.0 + 0j)
 
 
-def membership_ratio_series(f: TruncatedSeries, p: ClassParams) -> TruncatedSeries:
-    """The truncated series of w(z) = z (D~_q f)(z) / f(z)."""
-    require_normalized(f, "membership sampling")
-    numerator = ser.shift_up(symmetric_q_derivative(f, p.q))
-    return ser.divide(numerator, f)
-
-
 def sampled_membership(
     f: TruncatedSeries, p: ClassParams, grid: DiskGrid | None = None
 ) -> MembershipVerdict:
-    """Scan w(z) over a disk grid for conic-domain failures.
+    """Scan w(z) = z (D~_q f)(z) / f(z) over a disk grid for conic-domain failures.
 
     Returns the first failing point in (radius, angle) order as a
     not-member witness, or an inconclusive verdict with the minimum
     margin seen.  A grid point where f vanishes is a pole of w and is
     reported first, as a witness with margin -inf: a member has no zero
     in the punctured disk.  A grid cannot certify membership;
-    certification comes only from the coefficient theorems.
+    certification comes only from the coefficient theorems.  w is the
+    ratio of two polynomials' values, exact at each point.
     """
+    require_normalized(f, "membership sampling")
     if grid is None:
         grid = default_disk_grid()
-    w_series = membership_ratio_series(f, p)
     z = grid.mesh()
     f_vals = ser.evaluate_on_grid(f, grid)
     tiny = np.abs(f_vals) < 1e-12
@@ -199,7 +197,8 @@ def sampled_membership(
         return MembershipVerdict(
             CERTIFIED_NOT_MEMBER_WITNESS, margin=-math.inf, witness=complex(z[i, j])
         )
-    w_vals = ser.evaluate_on_grid(w_series, grid)
+    numerator = ser.shift_up(symmetric_q_derivative(f, p.q))
+    w_vals = ser.evaluate_on_grid(numerator, grid) / f_vals
     margins = w_vals.real - p.k * np.abs(w_vals - 1.0) - p.alpha
     failing = margins <= 0.0
     if failing.any():
@@ -216,6 +215,8 @@ def extremal_function(n: int, p: ClassParams, order: int = DEFAULT_ORDER) -> Tru
     """f_1(z) = z and f_n(z) = z - (1-alpha)/phi_n * z^n, the extreme points."""
     if n < 1:
         raise ValueError(f"extremal functions are indexed from 1, got {n}")
+    if max(n, order) > MAX_EXTREMAL_ORDER:
+        raise ValueError(f"n = {n} and order = {order} must not exceed {MAX_EXTREMAL_ORDER}")
     order = max(order, n, 2)
     if n == 1:
         return TruncatedSeries.identity(order)
@@ -277,6 +278,8 @@ def extreme_point_compose(
     n_max = len(w.lambdas)
     if order is None:
         order = max(DEFAULT_ORDER, n_max)
+    if order < n_max:
+        raise ValueError(f"order {order} is below the number of weights {n_max}")
     taylor = [0j] * order
     taylor[0] = 1.0 + 0j
     phi = phi_table(p, n_max)

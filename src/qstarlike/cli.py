@@ -153,7 +153,7 @@ def _resolve_conic(args, p: ClassParams) -> ConicCoefficients:
 
 
 def _oracle_grid(args) -> ver.OracleGrid:
-    return ver.OracleGrid(nB=args.nB, nRho=args.nRho, nPhi=args.nPhi, refinement=args.refine)
+    return ver.OracleGrid(nB=args.nB, nRho=args.nRho, refinement=args.refine)
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -421,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     def grid_flags(sp):
         sp.add_argument("--nB", type=int, default=101)
         sp.add_argument("--nRho", type=int, default=41)
-        sp.add_argument("--nPhi", type=int, default=64)
         sp.add_argument("--refine", type=int, default=2)
 
     sp = sub.add_parser("qnum", help="evaluate a q-number or symmetric q-number")

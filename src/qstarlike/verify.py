@@ -2,27 +2,27 @@
 
 The oracles maximize coefficient functionals over the exact
 parametrization that generates class members: B1 runs over [0, 2]
-(real, following the usual normalization by rotation), x = rho e^{i phi}
-over the closed unit disk, and zeta over the closed unit disk.  Each
-functional is affine in its innermost variable, and the maximum of
-|c0 + c1 w| over |w| <= 1 is exactly |c0| + |c1|, attained at
-w = (c0/|c0|) / (c1/|c1|):
+(real, following the usual normalization by rotation), x over the closed
+unit disk, and zeta over the closed unit disk.  Each functional is affine
+in its innermost variable, and the maximum of |c0 + c1 w| over |w| <= 1
+is exactly |c0| + |c1|, attained at w = (c0/|c0|) / (c1/|c1|):
 
 * a2 a4 - a3^2 = u + v zeta for fixed (B1, x), since a4 is affine in B3
   and B3 in zeta, with v = a2 P1 (4 - B1^2)(1 - |x|^2) / (4 q4);
 * a3 - mu a2^2 = c0 + c1 x for fixed B1, with c1 = P1 (4 - B1^2) / (4 q3).
 
-So the H2 oracle scans (B1, rho, phi) and the Fekete-Szego oracle scans
-B1 alone, each taking the inner maximum in closed form.  Every sampled
-point is validated as a genuine Caratheodory triple for the whole inner
-disk (|B2|, |B3| <= 2); a violation aborts the scan rather than
-producing a fictitious functional value.
+The maximum of |u| over arg x is that of a quadratic in cos(arg x) (see
+_h2_cells), so the H2 oracle scans (B1, |x|) and the Fekete-Szego oracle
+B1 alone.  Every evaluated point is validated as a genuine Caratheodory
+triple for the whole inner disk (|B2|, |B3| <= 2); a violation aborts the
+scan rather than producing a fictitious functional value.
 
 Scans are grid search plus local refinement: after the coarse pass the
 running argmax is re-sampled on a window of one coarse cell at 8x the
-density, per refinement level.  Each refinement window contains the
-current argmax exactly, so the reported maximum never decreases across
-levels.  Ties keep the lexicographically smallest grid index.
+density, per refinement level, clipped to the closed parameter range.
+Each refinement window contains the current argmax exactly, so the
+reported maximum never decreases across levels.  Ties keep the
+lexicographically smallest grid index.
 
 run_ledger() assembles one record per claim per parameter point,
 comparing each closed-form bound against its oracle maximum.  A negative
@@ -37,6 +37,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from .classes import (
     coefficient_threshold,
     derivative_distortion_bounds,
     distortion_bounds,
-    distortion_coefficient,
     extremal_function,
     extreme_point_compose,
     extreme_point_decompose,
@@ -76,10 +76,14 @@ STATUS_MISSING = "reconstructed-input-missing"
 
 CARATHEODORY_TOL = 1e-9
 
-# The H2 scan evaluates all nB * nRho * nPhi points at once and peaks at
-# about 110 bytes per point (113 MB at this cap with 64-bit numpy), so the
-# cap, four times the default grid of 265,024 points, bounds its memory.
-MAX_GRID_POINTS = 2**20
+# The H2 scan evaluates all nB * nRho (B1, |x|) cells at once: three arg x
+# candidates a cell, about 500 bytes a cell at its peak with 64-bit numpy
+# (130 MB at this cap, 63 times the default grid of 4,141 cells).
+MAX_GRID_POINTS = 2**18
+
+# Past about 17 levels even the coarsest B1 window (nB = 8) is spaced below
+# float resolution and re-evaluates the same points; the cap bounds that work.
+MAX_REFINEMENT = 20
 
 
 class OracleSoundnessError(RuntimeError):
@@ -88,16 +92,15 @@ class OracleSoundnessError(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleGrid:
-    """Sample counts for the (B1, rho, phi) scan.
+    """Sample counts for the (B1, |x|) scan.
 
-    B1 and rho axes include their endpoints ({0, 2} and {0, 1}); the
-    angular axis covers [0, 2 pi) without the duplicate endpoint.
-    refinement counts the local 8x re-sampling passes around the argmax.
-    nB * nRho * nPhi may not exceed MAX_GRID_POINTS.
+    Both axes include their endpoints ({0, 2} and {0, 1}).  refinement
+    counts the local 8x re-sampling passes around the argmax, at most
+    MAX_REFINEMENT.  nB * nRho may not exceed MAX_GRID_POINTS.
 
-    nZeta is accepted and unused: the oracles maximize over zeta in
-    closed form.  The field stays so that existing callers that pass it
-    keep working.
+    nPhi and nZeta are accepted and unused: the oracles maximize over
+    arg x and zeta in closed form.  The fields stay only because the
+    benchmark's ledger warm-up still passes them.
     """
 
     nB: int = 101
@@ -107,22 +110,21 @@ class OracleGrid:
     refinement: int = 2
 
     def __post_init__(self):
-        for name in ("nB", "nRho", "nPhi"):
+        for name in ("nB", "nRho"):
             if getattr(self, name) < 8:
                 raise ValueError(f"{name} must be at least 8")
-        if self.refinement < 0:
-            raise ValueError("refinement must be nonnegative")
-        points = self.nB * self.nRho * self.nPhi
+        if not 0 <= self.refinement <= MAX_REFINEMENT:
+            raise ValueError(
+                f"refinement must lie in [0, {MAX_REFINEMENT}], got {self.refinement}"
+            )
+        points = self.nB * self.nRho
         if points > MAX_GRID_POINTS:
             raise ValueError(
-                f"grid nB * nRho * nPhi = {points} exceeds the cap of {MAX_GRID_POINTS} points"
+                f"grid nB * nRho = {points} exceeds the cap of {MAX_GRID_POINTS} points"
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "nB": self.nB, "nRho": self.nRho, "nPhi": self.nPhi,
-            "refinement": self.refinement,
-        }
+        return {"nB": self.nB, "nRho": self.nRho, "refinement": self.refinement}
 
 
 @dataclass(frozen=True)
@@ -141,10 +143,6 @@ class OracleResult:
 
 
 # --- scan machinery ---------------------------------------------------------
-
-
-def _angle_axis(count: int) -> np.ndarray:
-    return 2.0 * np.pi * np.arange(count) / count
 
 
 def _check_caratheodory(b2, b3=None) -> None:
@@ -183,42 +181,72 @@ def _fs_parts(consts, mu, b):
     return a3 - mu * a2 * a2, P1 * gap / (4.0 * q3)
 
 
-def _h2_chunk(consts, b_vals, x_grid):
-    """Max over b_vals x x_grid of max_zeta |a2 a4 - a3^2| = |u| + |v|.
+def _h2_cells(consts, b_vals, rho_vals):
+    """Per (B1, |x|) cell: max over arg x and zeta of |a2 a4 - a3^2|, and its cos(arg x).
 
-    Returns (max, flat index, shape) with C-order axes (B, rho, phi).
+    For fixed B1, u = al + be x + ga x^2 with real al, be, ga, read off u
+    at x = 0, 1, -1.  On |x| = rho, with c = cos(arg x),
+
+        |u|^2 = A + B c + C c^2,    A = al^2 + be^2 rho^2 + ga^2 rho^4 - 2 al ga rho^2,
+                                    B = 2 al be rho + 2 be ga rho^3,  C = 4 al ga rho^2,
+
+    whose maximum over c in [-1, 1] is at c = +-1 or, when C < 0, at the
+    vertex -B / (2C).  |v| depends on |x| alone.  Returns two arrays of
+    shape (len(b_vals), len(rho_vals)): the cell maxima and their c.
     """
-    u, v = _h2_parts(consts, b_vals[:, None, None], x_grid[None, :, :])
-    vals = np.abs(u) + np.abs(v)
-    flat = int(np.argmax(vals))
-    return float(vals.flat[flat]), flat, vals.shape
+    u0, u_pos, u_neg = (_h2_parts(consts, b_vals, x)[0].real for x in (0.0, 1.0, -1.0))
+    al = u0[:, None]
+    lin = ((u_pos - u_neg) / 2.0)[:, None] * rho_vals  # be rho
+    quad = ((u_pos + u_neg) / 2.0 - u0)[:, None] * rho_vals**2  # ga rho^2
+    B = 2.0 * lin * (al + quad)
+    C = 4.0 * al * quad
+    vertex = np.ones_like(C)
+    np.divide(-B, 2.0 * C, out=vertex, where=C < 0.0)
+    cos = np.stack([np.ones_like(C), np.clip(vertex, -1.0, 1.0), -np.ones_like(C)])
+    e = cos + 1j * np.sqrt(1.0 - cos * cos)  # e^{i arg x}, arg x in [0, pi]
+    u_abs = np.abs(al + lin * e + quad * e * e)
+    # every candidate x must be a genuine Caratheodory point; v is shared
+    _, v = _h2_parts(consts, b_vals[:, None], rho_vals * e)
+    pick = np.argmax(u_abs, axis=0)[None]  # ties keep c = 1, then the vertex
+    return u_abs.max(axis=0) + np.abs(v[0]), np.take_along_axis(cos, pick, 0)[0]
 
 
 def _fs_chunk(consts, mu, b_vals):
-    """Max over b_vals of max_x |a3 - mu a2^2| = |c0| + |c1|.
-
-    Returns (max, index, c0 at that index).
-    """
+    """Max over b_vals of max_x |a3 - mu a2^2| = |c0| + |c1|, and (B1, c0) there."""
     c0, c1 = _fs_parts(consts, mu, b_vals)
     vals = np.abs(c0) + np.abs(c1)
     i = int(np.argmax(vals))
-    return float(vals[i]), i, complex(c0[i])
+    return float(vals[i]), (float(b_vals[i]), complex(c0[i]))
 
 
-def _scan_h2(consts, b_axis, rho_axis, phi_axis):
-    x_grid = rho_axis[:, None] * np.exp(1j * phi_axis)[None, :]
-    val, flat, shape = _h2_chunk(consts, b_axis, x_grid)
-    ib, ir, ip = np.unravel_index(flat, shape)
-    return val, (float(b_axis[ib]), float(rho_axis[ir]), float(phi_axis[ip]))
+def _scan_h2(consts, b_axis, rho_axis):
+    vals, cos = _h2_cells(consts, b_axis, rho_axis)
+    ib, ir = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    return float(vals[ib, ir]), (float(b_axis[ib]), float(rho_axis[ir]), float(cos[ib, ir]))
 
 
-def _refined_axis(center: float, spacing: float, lo=None, hi=None) -> np.ndarray:
-    pts = [center + spacing * j / 8.0 for j in range(-8, 9)]
-    if lo is not None:
-        pts = [p for p in pts if p >= lo - 1e-15]
-    if hi is not None:
-        pts = [p for p in pts if p <= hi + 1e-15]
-    return np.asarray(pts)
+def _refined_axis(center: float, spacing: float, lo: float, hi: float) -> np.ndarray:
+    pts = center + spacing * np.arange(-8, 9) / 8.0
+    return pts[(pts >= lo) & (pts <= hi)]
+
+
+def _refined_max(scan, spans, counts, refinement: int):
+    """Grid-plus-refinement maximum of scan over the box of axes [0, span].
+
+    scan(*axes) returns (value, point), where point starts with the
+    argmax's coordinate on each axis.  Returns (point, value, level values).
+    """
+    steps = [span / (n - 1) for span, n in zip(spans, counts)]
+    best_val, best = scan(*(np.linspace(0.0, span, n) for span, n in zip(spans, counts)))
+    levels = [best_val]
+    for _ in range(refinement):
+        val, point = scan(*(_refined_axis(c, h, 0.0, span)
+                            for c, h, span in zip(best, steps, spans)))
+        if val > best_val:
+            best_val, best = val, point
+        levels.append(best_val)
+        steps = [h / 8.0 for h in steps]
+    return best, best_val, tuple(levels)
 
 
 def _resolve_constants(P: ConicCoefficients, q: float):
@@ -229,38 +257,19 @@ def _resolve_constants(P: ConicCoefficients, q: float):
 def oracle_h2_max(
     P: ConicCoefficients, q: float, grid: OracleGrid | None = None
 ) -> OracleResult:
-    """Grid-plus-refinement maximum of |a2 a4 - a3^2| over (B1, x), exact in zeta."""
+    """Grid-plus-refinement maximum of |a2 a4 - a3^2| over (B1, |x|), exact in arg x and zeta.
+
+    The reported value is |u| + |v| recomputed at the reported argmax.
+    """
     grid = grid or OracleGrid()
     consts = _resolve_constants(P, q)
-
-    b_axis = np.linspace(0.0, 2.0, grid.nB)
-    rho_axis = np.linspace(0.0, 1.0, grid.nRho)
-    phi_axis = _angle_axis(grid.nPhi)
-
-    best_val, params = _scan_h2(consts, b_axis, rho_axis, phi_axis)
-    levels = [best_val]
-
-    h_b = 2.0 / (grid.nB - 1)
-    h_rho = 1.0 / (grid.nRho - 1)
-    h_phi = 2.0 * np.pi / grid.nPhi
-    for _ in range(grid.refinement):
-        b0, rho0, phi0 = params
-        val, new_params = _scan_h2(
-            consts,
-            _refined_axis(b0, h_b, 0.0, 2.0),
-            _refined_axis(rho0, h_rho, 0.0, 1.0),
-            _refined_axis(phi0, h_phi),
-        )
-        if val > best_val:
-            best_val, params = val, new_params
-        levels.append(best_val)
-        h_b, h_rho, h_phi = h_b / 8.0, h_rho / 8.0, h_phi / 8.0
-
-    b0, rho0, phi0 = params
-    x = min(rho0, 1.0) * np.exp(1j * phi0)
+    (b0, rho0, cos0), _, levels = _refined_max(
+        partial(_scan_h2, consts), (2.0, 1.0), (grid.nB, grid.nRho), grid.refinement
+    )
+    x = rho0 * complex(cos0, math.sqrt(1.0 - cos0 * cos0))
     u, v = _h2_parts(consts, b0, x)
     argmax = SchwarzTriple(B1=b0, x=x, zeta=_unit_ratio(u, v))
-    return OracleResult(best_val, argmax, tuple(levels))
+    return OracleResult(float(abs(u) + abs(v)), argmax, levels)
 
 
 def oracle_fs_max(
@@ -273,24 +282,12 @@ def oracle_fs_max(
     """
     grid = grid or OracleGrid()
     consts = _resolve_constants(P, q)
-
-    b_axis = np.linspace(0.0, 2.0, grid.nB)
-    best_val, i, best_c0 = _fs_chunk(consts, mu, b_axis)
-    b_best = float(b_axis[i])
-    levels = [best_val]
-
-    h_b = 2.0 / (grid.nB - 1)
-    for _ in range(grid.refinement):
-        window = _refined_axis(b_best, h_b, 0.0, 2.0)
-        val, i, c0 = _fs_chunk(consts, mu, window)
-        if val > best_val:
-            best_val, b_best, best_c0 = val, float(window[i]), c0
-        levels.append(best_val)
-        h_b /= 8.0
-
+    (b_best, best_c0), best_val, levels = _refined_max(
+        partial(_fs_chunk, consts, mu), (2.0,), (grid.nB,), grid.refinement
+    )
     # c1 > 0 below B1 = 2 and c1 = 0 at B1 = 2, so x = c0/|c0| attains the maximum
     argmax = SchwarzTriple(B1=b_best, x=_unit_ratio(best_c0, 1.0), zeta=1.0)
-    return OracleResult(best_val, argmax, tuple(levels))
+    return OracleResult(best_val, argmax, levels)
 
 
 # --- ledger -----------------------------------------------------------------
@@ -398,28 +395,17 @@ def _status(slack: float, tolerance: float, reconstructed: bool) -> str:
     return STATUS_RECONSTRUCTED if reconstructed else STATUS_VERIFIED
 
 
-def _distortion_oracles(p: ClassParams, rng, n_members: int, radius: float):
-    """Brute-force (max |f|, max |f'|) at |z| = radius over random members.
+def _distortion_oracles(p: ClassParams, radius: float):
+    """Exact (max |f|, max |f'|) at |z| = radius over the order-DEFAULT_ORDER class.
 
-    The modulus-envelope witness z + c z^2 is always included, so the
-    sharp value is on the sample.
+    The class is the convex hull of the extreme points f_n = z - c_n z^n,
+    c_n = (1 - alpha)/phi_n, and |f(z)|, |f'(z)| are convex in f, so both
+    maxima are attained at some f_n: r + c_n r^n and 1 + n c_n r^(n-1).
     """
-    order = DEFAULT_ORDER
-    coeff_rows = [np.zeros(order + 1, dtype=complex) for _ in range(2)]
-    coeff_rows[0][1] = 1.0
-    coeff_rows[0][2] = distortion_coefficient(p)
-    coeff_rows[1][1] = 1.0  # f(z) = z, the other extreme point
-    for _ in range(n_members):
-        coeff_rows.append(np.asarray(random_certified_member(p, rng, order).coeffs))
-    coeffs = np.vstack(coeff_rows)
-
-    angles = _angle_axis(96)
-    z = radius * np.exp(1j * angles)
-    powers = z[None, :] ** np.arange(order + 1)[:, None]
-    values = np.abs(coeffs @ powers)
-    deriv_coeffs = coeffs[:, 1:] * np.arange(1, order + 1)[None, :]
-    deriv_values = np.abs(deriv_coeffs @ powers[:-1])
-    return float(values.max()), float(deriv_values.max())
+    n = np.arange(2, DEFAULT_ORDER + 1)
+    c = (1.0 - p.alpha) / phi_table(p, DEFAULT_ORDER)
+    return (radius + float((c * radius**n).max()),
+            1.0 + float((n * c * radius ** (n - 1)).max()))
 
 
 def _roundtrip_oracle(p: ClassParams, rng, n_weights: int = 64) -> float:
@@ -459,13 +445,16 @@ def run_ledger(
     grid: OracleGrid | None = None,
     user_conic: ConicCoefficients | None = None,
     tolerance: float = 1e-6,
-    distortion_members: int = 2000,
+    distortion_members: int | None = None,
     rng_seed: int = 20260808,
 ) -> VerificationReport:
     """One record per claim per parameter point; see the module docstring.
 
     Points with k outside the built-in regimes and no user coefficients
     yield a single reconstructed-input-missing record instead of failing.
+    distortion_members is accepted and unused: the distortion maxima are
+    read off the extreme points.  It stays only because the benchmark's
+    ledger warm-up still passes it.
     """
     grid = grid or OracleGrid()
     header = {
@@ -477,24 +466,19 @@ def run_ledger(
             "B1 restricted to the real segment [0, 2] (rotation normalization); "
             "|a2 a4 - a3^2| and |a3 - mu a2^2| are unchanged by a_n -> e^{i(n-1)theta} a_n, "
             "so no maximum is lost",
-            "zeta (H2) and x (Fekete-Szego) are maximized in closed form, not sampled",
+            "zeta and arg x (H2) and x (Fekete-Szego) are maximized in closed form, not sampled",
             "parabolic-regime (k=1) coefficients are reconstructed from the cited "
             "parabolic disk map, not taken from the bound statements themselves",
         ],
-        "distortion_members": distortion_members,
         "rng_seed": rng_seed,
     }
     records: list[LedgerRecord] = []
     for index, p in enumerate(points):
-        records.extend(
-            _point_records(p, grid, user_conic, tolerance,
-                           distortion_members, rng_seed, index)
-        )
+        records.extend(_point_records(p, grid, user_conic, tolerance, rng_seed, index))
     return VerificationReport(header=header, records=tuple(records))
 
 
-def _point_records(p, grid, user_conic, tolerance,
-                   distortion_members, rng_seed, index) -> list[LedgerRecord]:
+def _point_records(p, grid, user_conic, tolerance, rng_seed, index) -> list[LedgerRecord]:
     def record(claim, anchor, bound, oracle, conic=None, argmax=None, mu=None,
                status=None):
         slack = None if (bound is None or oracle is None) else bound - oracle
@@ -517,7 +501,6 @@ def _point_records(p, grid, user_conic, tolerance,
             None, None, status=STATUS_MISSING,
         )]
 
-    rng = np.random.default_rng(np.random.SeedSequence([rng_seed, index]))
     out: list[LedgerRecord] = []
 
     h2_oracle = oracle_h2_max(P, p.q, grid)
@@ -584,26 +567,28 @@ def _point_records(p, grid, user_conic, tolerance,
     ))
 
     radius = 0.9
-    f_max, df_max = _distortion_oracles(p, rng, distortion_members, radius)
+    f_max, df_max = _distortion_oracles(p, radius)
     out.append(record(
         "growth-envelope-upper",
-        f"growth envelope r + c r^2 at r = {radius} over sampled members",
+        f"growth envelope r + c r^2 at r = {radius} over the extreme points",
         distortion_bounds(radius, p)[1], f_max, conic=P,
     ))
     out.append(record(
         "derivative-envelope-upper",
-        f"derivative envelope 1 + 2 c r at r = {radius} over sampled members",
+        f"derivative envelope 1 + 2 c r at r = {radius} over the extreme points",
         derivative_distortion_bounds(radius, p)[1], df_max, conic=P,
     ))
 
+    # one seed stream per sampled oracle, so neither moves the other's draws
+    roundtrip_seed, sufficiency_seed = np.random.SeedSequence([rng_seed, index]).spawn(2)
     out.append(record(
         "extreme-point-roundtrip",
         "convex decomposition over the extremal functions round-trips (error vs 0)",
-        0.0, _roundtrip_oracle(p, rng), conic=P,
+        0.0, _roundtrip_oracle(p, np.random.default_rng(roundtrip_seed)), conic=P,
     ))
     out.append(record(
         "sufficient-condition-sampled",
         "certified members show no conic-domain failure on the disk grid (violation vs 0)",
-        0.0, _sufficiency_oracle(p, rng), conic=P,
+        0.0, _sufficiency_oracle(p, np.random.default_rng(sufficiency_seed)), conic=P,
     ))
     return out

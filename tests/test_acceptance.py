@@ -321,3 +321,46 @@ class TestCriterion10FeketeSzegoConsistency:
             assert abs(above - center) <= 1e-12
         report("criterion 10 Fekete-Szego consistency", True,
                f"worst real-vs-complex dev {worst:.2e}")
+
+
+# Status of every default-ledger record, one string per claim with one code
+# per point of default_parameter_points(): q = 0.5, 0.8, 1 (the three
+# groups) crossed with (k, alpha) = (0, 0), (0, 0.25), (1, 0), (1, 0.5).
+# v = verified, r = reconstructed-input, X = violated, - = no record.
+PINNED_STATUS_CODES = {
+    "second-hankel-bound":                   "vvrr vvrr vvrr",
+    "fekete-szego-mu-0":                     "vvrX vvrr vvrr",
+    "fekete-szego-mu-0.5":                   "vvXX vvXX vvXX",
+    "fekete-szego-mu-1":                     "vvrr vvrr vvrr",
+    "fekete-szego-mu-star":                  "vvXX vvXX vvXX",
+    "printed-first-hankel-shortcut":         "XXXX XXXX XXXX",
+    "printed-third-coefficient-shortcut":    "XXXX XXXX vvrr",
+    "printed-quadratic-coefficient-example": "vvrr vvrr vvrr",
+    "t-class-budget-sharpness":              "vvrr vvrr vvrr",
+    "growth-envelope-upper":                 "vvrr vvrr vvrr",
+    "derivative-envelope-upper":             "vvrr vvrr vvrr",
+    "extreme-point-roundtrip":               "vvrr vvrr vvrr",
+    "sufficient-condition-sampled":          "vvrr vvrr vvrr",
+    "printed-classical-h2-limit":            "---- ---- --r-",
+    "endpoint-classical-h2-limit":           "---- ---- --r-",
+}
+STATUS_CODES = {"v": "verified", "r": "reconstructed-input", "X": STATUS_VIOLATED}
+
+
+class TestLedgerStatusesPinned:
+    def test_default_ledger_statuses(self, default_ledger):
+        ledger, _ = default_ledger
+        points = default_parameter_points()
+        want = {
+            (claim, p.q, p.k, p.alpha): STATUS_CODES[c]
+            for claim, codes in PINNED_STATUS_CODES.items()
+            for p, c in zip(points, codes.replace(" ", ""))
+            if c != "-"
+        }
+        got = {(r.claim, r.q, r.k, r.alpha): r.status for r in ledger.records}
+        assert len(got) == len(ledger.records) == len(want) == 158
+        changed = {key: (want.get(key), got.get(key))
+                   for key in want.keys() | got.keys() if want.get(key) != got.get(key)}
+        report("default-ledger statuses pinned", not changed,
+               f"{len(changed)} of {len(want)} changed")
+        assert not changed

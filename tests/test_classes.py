@@ -163,11 +163,11 @@ class TestSampledMembership:
         verdict = sampled_membership(f, P_HALF, grid)
         # rescan manually: the reported witness must be the first failing
         # (radius, angle) pair in scan order
-        from qstarlike.classes import membership_ratio_series
+        from qstarlike.qcalc import symmetric_q_derivative
         from qstarlike.series import evaluate
-        w_series = membership_ratio_series(f, P_HALF)
+        deriv = symmetric_q_derivative(f, P_HALF.q)
         for i, j, z in grid.points():
-            w = evaluate(w_series, z)
+            w = z * evaluate(deriv, z) / evaluate(f, z)
             margin = w.real - P_HALF.k * abs(w - 1) - P_HALF.alpha
             if margin <= 0:
                 assert abs(z - verdict.witness) < 1e-14
@@ -221,6 +221,15 @@ class TestExtremalFunction:
         f = extremal_function(40, P_HALF)
         assert f.order == 40
         assert f.a(40) != 0
+
+    def test_size_cap(self):
+        # refused before the coefficient list is allocated
+        for n, order in ((cls.MAX_EXTREMAL_ORDER + 1, 32), (2, cls.MAX_EXTREMAL_ORDER + 1),
+                         (10**18, 32)):
+            with pytest.raises(ValueError, match="must not exceed"):
+                extremal_function(n, P_CLASSICAL, order=order)
+        f = extremal_function(cls.MAX_EXTREMAL_ORDER, P_CLASSICAL)
+        assert f.order == cls.MAX_EXTREMAL_ORDER
 
 
 class TestDistortion:
@@ -331,6 +340,12 @@ class TestExtremePoints:
             DecompositionWeights((0.5, 0.4))  # does not sum to 1
         with pytest.raises(ValueError):
             DecompositionWeights((1.5, -0.5))
+
+    def test_compose_order_below_weight_count(self):
+        w = DecompositionWeights((0.2, 0.3, 0.5))
+        with pytest.raises(ValueError, match="order 2 is below the number of weights 3"):
+            extreme_point_compose(w, P_HALF, order=2)
+        assert extreme_point_compose(w, P_HALF, order=3).order == 3
 
 
 class TestRandomMember:

@@ -130,6 +130,27 @@ class TestMemberAndExtremal:
         assert abs(doc["sufficient"]["margin"]) < 1e-12
         assert doc["t_form"]["certified"] == "member-iff-negative"
 
+    def test_extremal_size_caps(self, capsys, tmp_path):
+        from qstarlike.classes import MAX_EXTREMAL_ORDER
+        cls_flags = ("--q", "1", "--k", "0", "--alpha", "0")
+        out_path = tmp_path / "f.json"
+        code, _, _ = run_cli(capsys, "extremal", "--n", str(MAX_EXTREMAL_ORDER), *cls_flags,
+                             "--order", str(MAX_EXTREMAL_ORDER), "--out", str(out_path))
+        assert code == EXIT_OK
+        assert json.loads(out_path.read_text())["order"] == MAX_EXTREMAL_ORDER
+        # refused before anything is allocated, so 10^18 is as cheap as the cap + 1
+        for flag, value in (("--n", MAX_EXTREMAL_ORDER + 1), ("--order", MAX_EXTREMAL_ORDER + 1),
+                            ("--n", 10**18), ("--order", 10**18)):
+            argv = {"--n": "2", "--order": "32", flag: str(value)}
+            code, out, err = run_cli(capsys, "extremal", *cls_flags,
+                                     *(item for pair in argv.items() for item in pair))
+            assert code == EXIT_ERROR
+            assert out == ""
+            lines = err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+            assert f"{flag.lstrip('-')} = {value}" in lines[0]
+            assert f"must not exceed {MAX_EXTREMAL_ORDER}" in lines[0]
+
     def test_vanishing_function_is_witness(self, capsys, tmp_path):
         # f = z + z^2/0.52 vanishes at the grid point -0.52
         fpath = write_function(tmp_path / "f.json", [1.0, 1.0 / 0.52], order=16)
@@ -221,7 +242,7 @@ class TestOracleVerb:
     def test_h2_oracle_small_grid(self, capsys):
         code, out, _ = run_cli(
             capsys, "oracle", "--which", "h2", "--q", "1", "--k", "0", "--alpha", "0",
-            "--nB", "17", "--nRho", "9", "--nPhi", "12",
+            "--nB", "17", "--nRho", "9",
             "--refine", "1", "--format", "json",
         )
         assert code == EXIT_OK
@@ -240,13 +261,28 @@ class TestOracleVerb:
         ("ledger",),
     ])
     def test_grid_over_cap_is_usage_error(self, capsys, verb):
-        code, out, err = run_cli(capsys, *verb, "--nB", "100000", "--nRho", "100000",
-                                 "--nPhi", "100000")
+        code, out, err = run_cli(capsys, *verb, "--nB", "100000", "--nRho", "100000")
         assert code == EXIT_ERROR
         assert out == ""
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "exceeds the cap" in lines[0]
+
+    def test_refinement_over_cap_is_usage_error(self, capsys):
+        from qstarlike.verify import MAX_REFINEMENT
+        base = ("oracle", "--which", "h2", "--q", "1", "--k", "0", "--alpha", "0",
+                "--nB", "9", "--nRho", "9", "--format", "json")
+        code, out, _ = run_cli(capsys, *base, "--refine", str(MAX_REFINEMENT))
+        assert code == EXIT_OK
+        assert len(json.loads(out)["levels"]) == MAX_REFINEMENT + 1
+        # the refusal comes before any scan, so even 10^18 levels are cheap to refuse
+        for refine in (MAX_REFINEMENT + 1, 10**18):
+            code, out, err = run_cli(capsys, *base, "--refine", str(refine))
+            assert code == EXIT_ERROR
+            assert out == ""
+            lines = err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+            assert "refinement" in lines[0]
 
 
 class TestLedgerVerb:
@@ -257,7 +293,7 @@ class TestLedgerVerb:
         csv_out = tmp_path / "report.csv"
         code, out, _ = run_cli(
             capsys, "ledger", "--points", str(points),
-            "--nB", "17", "--nRho", "9", "--nPhi", "12", "--refine", "1",
+            "--nB", "17", "--nRho", "9", "--refine", "1",
             "--json-out", str(json_out), "--csv-out", str(csv_out),
         )
         assert code == EXIT_FINDINGS  # printed shortcut rows violate by design

@@ -19,6 +19,7 @@ from qstarlike.hankel import (
 from qstarlike.verify import (
     CSV_FIELDS,
     MAX_GRID_POINTS,
+    MAX_REFINEMENT,
     OracleGrid,
     OracleSoundnessError,
     STATUS_MISSING,
@@ -26,9 +27,10 @@ from qstarlike.verify import (
     STATUS_VERIFIED,
     STATUS_VIOLATED,
     _check_caratheodory,
+    _distortion_oracles,
     _fs_chunk,
     _fs_parts,
-    _h2_chunk,
+    _h2_cells,
     _h2_parts,
     default_parameter_points,
     oracle_fs_max,
@@ -36,7 +38,7 @@ from qstarlike.verify import (
     run_ledger,
 )
 
-SMALL = OracleGrid(nB=17, nRho=9, nPhi=12, nZeta=8, refinement=1)
+SMALL = OracleGrid(nB=17, nRho=9, nZeta=8, refinement=1)
 P00 = conic_coefficients(0.0, 0.0)
 
 
@@ -50,25 +52,32 @@ class TestOracleGrid:
             OracleGrid(nB=4)
         with pytest.raises(ValueError):
             OracleGrid(refinement=-1)
+        OracleGrid(refinement=MAX_REFINEMENT)
+        # 10^18 levels could never run; the refusal comes first
+        for refinement in (MAX_REFINEMENT + 1, 10**18):
+            with pytest.raises(ValueError, match="refinement must lie in"):
+                OracleGrid(refinement=refinement)
 
     def test_point_cap(self):
-        assert 101 * 41 * 64 <= MAX_GRID_POINTS
-        OracleGrid(nB=MAX_GRID_POINTS // 64 // 8, nRho=8, nPhi=64)
-        # 1e18 points could never be allocated; the refusal comes first
+        assert 101 * 41 <= MAX_GRID_POINTS
+        OracleGrid(nB=MAX_GRID_POINTS // 8, nRho=8)
+        # 1e12 cells could never be allocated; the refusal comes first
         with pytest.raises(ValueError, match="exceeds the cap"):
-            OracleGrid(nB=10**6, nRho=10**6, nPhi=10**6)
+            OracleGrid(nB=10**6, nRho=10**6)
         with pytest.raises(ValueError, match="exceeds the cap"):
-            OracleGrid(nB=MAX_GRID_POINTS // 64 // 8 + 1, nRho=8, nPhi=64)
+            OracleGrid(nB=MAX_GRID_POINTS // 8 + 1, nRho=8)
+        # nPhi and nZeta are accepted and unused, so they count toward no cap
+        OracleGrid(nPhi=10**6, nZeta=10**6)
 
 
 class TestOracleScans:
     def test_degenerate_origin_cell_is_zero(self):
         consts = (P00.P1, P00.P2, P00.P3, *symmetric_gaps(1.0))
-        val, _, _ = _h2_chunk(consts, np.array([0.0]), np.array([[0.0 + 0j]]))
-        assert val == 0.0
+        vals, _ = _h2_cells(consts, np.array([0.0]), np.array([0.0]))
+        assert vals[0, 0] == 0.0
         # at B1 = 0 the x-free part of a3 - mu a2^2 vanishes; the maximum
         # over |x| <= 1 is |a3| = P1/q3 (the w(z) = z^2 member)
-        val_fs, _, c0 = _fs_chunk(consts, 0.5, np.array([0.0]))
+        val_fs, (_, c0) = _fs_chunk(consts, 0.5, np.array([0.0]))
         assert c0 == 0.0
         assert val_fs == pytest.approx(P00.P1 / symmetric_gaps(1.0)[1], rel=1e-15)
 
@@ -78,13 +87,18 @@ class TestOracleScans:
         assert h2_bound(P00, 1.0) == pytest.approx(7.0)
 
     def test_refinement_never_decreases(self):
-        for (q, k, a) in ((1.0, 0.0, 0.0), (0.5, 1.0, 0.0)):
+        # MAX_REFINEMENT levels drive the window spacing below the float
+        # resolution of B1; the windows must still stay inside [0, 2] x [0, 1]
+        for (q, k, a) in ((1.0, 0.0, 0.0), (0.5, 1.0, 0.0), (0.8, 1.0, 0.0)):
             P = conic_coefficients(k, a)
-            res = oracle_h2_max(P, q, OracleGrid(nB=17, nRho=9, nPhi=12, nZeta=8, refinement=3))
-            assert len(res.level_values) == 4
-            assert all(b >= a_ for a_, b in zip(res.level_values, res.level_values[1:]))
-            fs = oracle_fs_max(0.5, P, q, OracleGrid(nB=17, nRho=9, nPhi=12, nZeta=8, refinement=3))
-            assert all(b >= a_ for a_, b in zip(fs.level_values, fs.level_values[1:]))
+            for refinement in (3, MAX_REFINEMENT):
+                grid = OracleGrid(nB=17, nRho=9, refinement=refinement)
+                res = oracle_h2_max(P, q, grid)
+                assert len(res.level_values) == refinement + 1
+                assert all(b >= a_ for a_, b in zip(res.level_values, res.level_values[1:]))
+                for mu in (0.0, 0.5):
+                    fs = oracle_fs_max(mu, P, q, grid)
+                    assert all(b >= a_ for a_, b in zip(fs.level_values, fs.level_values[1:]))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -110,17 +124,23 @@ class TestOracleScans:
         assert abs(r2 * r4 - r3 * r3) == pytest.approx(abs(a2 * a4 - a3 * a3),
                                                        rel=1e-12, abs=1e-13 * scale**2)
 
-    @pytest.mark.parametrize("q, k, alpha", [(1.0, 0.0, 0.0), (0.5, 1.0, 0.0), (0.8, 0.0, 0.25)])
+    @pytest.mark.parametrize("q, k, alpha", [(1.0, 0.0, 0.0), (0.5, 1.0, 0.0), (0.8, 0.0, 0.25),
+                                             (0.3, 2.0, 0.0)])
     def test_h2_exact_zeta_against_brute_force(self, q, k, alpha):
-        # Brute force over 32 points of |zeta| = 1 at every (B1, x) of a
-        # small grid.  The nearest grid angle is within pi/32 of the optimal
-        # one, so per cell the grid loses at most |v| (1 - cos(pi/32)).
-        P = conic_coefficients(k, alpha)
-        grid = OracleGrid(nB=9, nRho=8, nPhi=8, refinement=0)
+        # k = 2 takes user coefficients, with which the maximum over arg x
+        # is interior (0 < arg x < pi) at many cells; at the built-ins it
+        # sits at arg x = 0 or pi
+        user = None if k in (0.0, 1.0) else ConicCoefficients(1.6, 0.7, 2.5)
+        P = conic_coefficients(k, alpha, user=user)
         consts = (P.P1, P.P2, P.P3, *symmetric_gaps(q))
-        b = np.linspace(0.0, 2.0, grid.nB)[:, None, None]
-        x = (np.linspace(0.0, 1.0, grid.nRho)[:, None]
-             * np.exp(2j * np.pi * np.arange(grid.nPhi) / grid.nPhi))[None, :, :]
+        b_axis = np.linspace(0.0, 2.0, 9)
+        rho_axis = np.linspace(0.0, 1.0, 8)
+        b = b_axis[:, None, None]
+
+        # zeta: brute force over 32 points of |zeta| = 1 at every (B1, x) of
+        # a small grid.  The nearest grid angle is within pi/32 of the
+        # optimal one, so per point the grid loses at most |v| (1 - cos(pi/32)).
+        x = (rho_axis[:, None] * np.exp(2j * np.pi * np.arange(8) / 8))[None, :, :]
         zeta = np.exp(2j * np.pi * np.arange(32) / 32)
         b2, b3 = caratheodory_b2_b3(b[..., None], x[..., None], zeta)
         a2, a3, a4 = schwarz_to_coefficients(*consts, b[..., None], b2, b3)
@@ -131,9 +151,33 @@ class TestOracleScans:
         assert np.all(brute <= exact * (1.0 + 1e-12) + 1e-15)
         assert np.all(exact <= brute + allowance)
         assert np.abs(v).max() > 0.1 * exact.max()  # the zeta term is exercised
-        oracle = oracle_h2_max(P, q, grid).value
-        assert brute.max() <= oracle * (1.0 + 1e-12)
-        assert oracle <= brute.max() + allowance.max()
+        assert np.ptp(np.abs(v), axis=-1).max() <= 1e-15  # |v| depends on |x| alone
+
+        # arg x: at zeta = 0, 4096 angles of |x| = rho per (B1, rho) cell.
+        # The samples' Fourier coefficients show u = al + be x + ga x^2 with
+        # real al, be, ga.  With |u|^2 = A + B c + C c^2 in c = cos(arg x),
+        # the nearest sample is within pi/4096 of the optimal angle, so the
+        # sample loses at most (|B| + 2|C|) (pi/4096)^2 / 2 in |u|^2.
+        n_angles = 4096
+        xs = rho_axis[None, :, None] * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
+        b2, b3 = caratheodory_b2_b3(b, xs, 0.0)
+        a2, a3, a4 = schwarz_to_coefficients(*consts, b, b2, b3)
+        u_samples = a2 * a4 - a3 * a3
+        fourier = np.fft.fft(u_samples, axis=-1) / n_angles  # [m] multiplies e^{i m arg x}
+        scale = np.abs(u_samples).max()
+        assert np.abs(fourier[..., 3:]).max() <= 1e-12 * scale
+        assert np.abs(fourier[..., :3].imag).max() <= 1e-12 * scale
+        al, lin, quad = (fourier[..., m].real for m in range(3))
+        loss = (np.abs(2 * lin * (al + quad)) + 2 * np.abs(4 * al * quad)) * (math.pi / n_angles) ** 2 / 2
+        u_brute = np.abs(u_samples).max(axis=-1)
+        vals, cos = _h2_cells(consts, b_axis, rho_axis)
+        u_exact = vals - np.abs(v[..., 0])
+        assert np.all(u_brute <= u_exact * (1.0 + 1e-12) + 1e-15)
+        assert np.all(u_exact**2 <= u_brute**2 + loss + 1e-14 * scale**2)
+        if user is not None:
+            assert np.sum(np.abs(cos) < 0.99) > 20  # the vertex in arg x is exercised
+        oracle = oracle_h2_max(P, q, OracleGrid(nB=9, nRho=8, refinement=0)).value
+        assert oracle == pytest.approx(vals.max(), rel=1e-12)
 
     @pytest.mark.parametrize("q, k, alpha", [(1.0, 0.0, 0.0), (0.5, 1.0, 0.0), (0.8, 0.0, 0.25)])
     @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 2.5])
@@ -142,7 +186,7 @@ class TestOracleScans:
         # at every B1 of the oracle's axis; per B1 the grid loses at most
         # |c1| (1 - cos(pi/64)).
         P = conic_coefficients(k, alpha)
-        grid = OracleGrid(nB=17, nRho=8, nPhi=8, refinement=0)
+        grid = OracleGrid(nB=17, nRho=8, refinement=0)
         consts = (P.P1, P.P2, P.P3, *symmetric_gaps(q))
         b = np.linspace(0.0, 2.0, grid.nB)
         x = (np.linspace(0.0, 1.0, 9)[:, None]
@@ -304,3 +348,30 @@ class TestLedger:
                 assert r.status == STATUS_VIOLATED
             elif r.slack is not None:
                 assert r.status in (STATUS_VERIFIED, STATUS_RECONSTRUCTED)
+
+
+class TestDistortionOracle:
+    def test_maxima_are_attained_by_extreme_points(self):
+        # f_n = z - c_n z^n reaches r + c_n r^n and 1 + n c_n r^(n-1) where
+        # z^(n-1) = -r^(n-1); members, convex combinations of the f_n, stay below
+        from qstarlike.classes import extremal_function, random_certified_member
+        from qstarlike.series import evaluate
+        r = 0.9
+        rng = np.random.default_rng(5)
+        z = r * np.exp(2j * np.pi * np.arange(96) / 96)
+        powers = z[None, :] ** np.arange(33)[:, None]
+        for p in (ClassParams(0.5, 1.0, 0.0), ClassParams(1.0, 0.0, 0.25),
+                  ClassParams(0.3, 2.0, 0.6)):
+            f_max, df_max = _distortion_oracles(p, r)
+            growth, slope = [], []
+            for n in range(2, 33):
+                f = extremal_function(n, p)
+                w = r * np.exp(1j * math.pi / (n - 1))
+                growth.append(abs(evaluate(f, w)))
+                slope.append(abs(1.0 + n * f.a(n) * w ** (n - 1)))
+            assert f_max == pytest.approx(max(growth), rel=1e-14)
+            assert df_max == pytest.approx(max(slope), rel=1e-14)
+            coeffs = np.vstack([random_certified_member(p, rng).coeffs for _ in range(200)])
+            assert np.abs(coeffs @ powers).max() <= f_max * (1.0 + 1e-12)
+            deriv = coeffs[:, 1:] * np.arange(1, 33)
+            assert np.abs(deriv @ powers[:-1]).max() <= df_max * (1.0 + 1e-12)
