@@ -211,13 +211,20 @@ def sampled_membership(
     return MembershipVerdict(CERTIFIED_INCONCLUSIVE, margin=float(margins.min()))
 
 
-def extremal_function(n: int, p: ClassParams, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """f_1(z) = z and f_n(z) = z - (1-alpha)/phi_n * z^n, the extreme points."""
+def extremal_function(n: int, p: ClassParams, order: int | None = None) -> TruncatedSeries:
+    """f_1(z) = z and f_n(z) = z - (1-alpha)/phi_n * z^n, the extreme points.
+
+    order defaults to max(DEFAULT_ORDER, n); an explicit order below
+    max(n, 2) is refused.
+    """
     if n < 1:
         raise ValueError(f"extremal functions are indexed from 1, got {n}")
+    if order is None:
+        order = max(DEFAULT_ORDER, n)
     if max(n, order) > MAX_EXTREMAL_ORDER:
         raise ValueError(f"n = {n} and order = {order} must not exceed {MAX_EXTREMAL_ORDER}")
-    order = max(order, n, 2)
+    if order < max(n, 2):
+        raise ValueError(f"order = {order} is below max(n, 2) = {max(n, 2)} for n = {n}")
     if n == 1:
         return TruncatedSeries.identity(order)
     taylor = [0j] * n

@@ -18,7 +18,7 @@ import csv as csv_module
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from . import classes as cls
@@ -39,8 +39,6 @@ class CliError(ValueError):
 
 @dataclass(frozen=True)
 class CliConfig:
-    subcommand: str
-    options: dict = field(default_factory=dict)
     fmt: str = "human"
     out_path: str | None = None
 
@@ -76,9 +74,18 @@ def _emit(payload: dict, human_lines, cfg: CliConfig) -> None:
         writer.writerow(flat)
         text = buf.getvalue()
     else:
-        text = "".join(line + "\n" for line in human_lines)
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
+        text = _lines_text(human_lines)
+    _write_text(text, cfg.out_path)
+
+
+def _lines_text(lines) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _write_text(text: str, path: str | None) -> None:
+    """Write text to path as rendered (no newline translation), or to stdout."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -89,14 +96,6 @@ def _payload(params: dict, **body) -> dict:
 
 
 # --- flag validation ---------------------------------------------------------
-
-
-def _need(args, name: str):
-    attr = "in_path" if name == "in" else name.lstrip("-").replace("-", "_")
-    value = getattr(args, attr)
-    if value is None:
-        raise CliError(f"--{name} is required for this subcommand")
-    return value
 
 
 def _check_q(q: float) -> float:
@@ -112,9 +111,8 @@ def _check_q(q: float) -> float:
 
 
 def _class_params(args) -> ClassParams:
-    q = _check_q(_need(args, "q"))
-    k = _need(args, "k")
-    alpha = _need(args, "alpha")
+    q = _check_q(args.q)
+    k, alpha = args.k, args.alpha
     if k < 0:
         raise CliError(f"--k must be nonnegative, got {k}")
     if not 0.0 <= alpha < 1.0:
@@ -160,8 +158,8 @@ def _oracle_grid(args) -> ver.OracleGrid:
 
 
 def _cmd_qnum(args, cfg: CliConfig) -> int:
-    q = _check_q(_need(args, "q"))
-    n = _need(args, "n")
+    q = _check_q(args.q)
+    n = args.n
     if args.symmetric:
         if n < 1 or not float(n).is_integer():
             raise CliError(f"--n must be a positive integer for symmetric q-numbers, got {n}")
@@ -174,8 +172,8 @@ def _cmd_qnum(args, cfg: CliConfig) -> int:
 
 
 def _cmd_deriv(args, cfg: CliConfig) -> int:
-    q = _check_q(_need(args, "q"))
-    f = ser.load_function(_need(args, "in"))
+    q = _check_q(args.q)
+    f = ser.load_function(args.in_path)
     op = qcalc.symmetric_q_derivative if args.symmetric else qcalc.q_derivative
     result = op(f, q)
     doc = ser.to_json_dict(result, kind="derivative")
@@ -187,7 +185,7 @@ def _cmd_deriv(args, cfg: CliConfig) -> int:
 
 def _cmd_member(args, cfg: CliConfig) -> int:
     p = _class_params(args)
-    f = ser.load_function(_need(args, "in"))
+    f = ser.load_function(args.in_path)
     sufficient = cls.sufficient_membership(f, p)
     try:
         t_form = cls.ts_membership(f, p)
@@ -217,7 +215,7 @@ def _cmd_member(args, cfg: CliConfig) -> int:
 
 def _cmd_extremal(args, cfg: CliConfig) -> int:
     p = _class_params(args)
-    n = _need(args, "n")
+    n = args.n
     if n < 1:
         raise CliError(f"--n must be at least 1, got {n}")
     f = cls.extremal_function(n, p, order=args.order)
@@ -231,7 +229,7 @@ def _cmd_extremal(args, cfg: CliConfig) -> int:
 
 def _cmd_distortion(args, cfg: CliConfig) -> int:
     p = _class_params(args)
-    r = _need(args, "r")
+    r = args.r
     if not 0.0 <= r < 1.0:
         raise CliError(f"--r must lie in [0, 1), got {r}")
     lo, hi = cls.distortion_bounds(r, p)
@@ -251,7 +249,7 @@ def _cmd_distortion(args, cfg: CliConfig) -> int:
 
 def _cmd_decompose(args, cfg: CliConfig) -> int:
     p = _class_params(args)
-    f = ser.load_function(_need(args, "in"))
+    f = ser.load_function(args.in_path)
     weights = cls.extreme_point_decompose(f, p)
     payload = _payload(
         {"q": p.q, "k": p.k, "alpha": p.alpha, "in": args.in_path},
@@ -281,7 +279,7 @@ def _cmd_hankel_bound(args, cfg: CliConfig) -> int:
 def _cmd_fs_bound(args, cfg: CliConfig) -> int:
     p = _class_params(args)
     P = _resolve_conic(args, p)
-    mu = complex(_need(args, "mu"), args.mu_imag or 0.0)
+    mu = complex(args.mu, args.mu_imag or 0.0)
     bound = hk.fekete_szego_bound_complex(mu, P, p.q)
     real_bound = None if mu.imag else hk.fekete_szego_bound_real(mu.real, P, p.q)
     payload = _payload(
@@ -297,23 +295,21 @@ def _cmd_fs_bound(args, cfg: CliConfig) -> int:
 def _cmd_oracle(args, cfg: CliConfig) -> int:
     p = _class_params(args)
     P = _resolve_conic(args, p)
-    grid = _oracle_grid(args)
+    params = {"which": args.which, "q": p.q, "k": p.k, "alpha": p.alpha,
+              "mu": args.mu, "P1": P.P1, "P2": P.P2, "P3": P.P3}
     if args.which == "h2":
+        grid = _oracle_grid(args)
         result = ver.oracle_h2_max(P, p.q, grid)
+        params["grid"] = grid.to_json_dict()
     else:
         if args.mu is None:
             raise CliError("--mu is required for the fs oracle")
-        result = ver.oracle_fs_max(complex(args.mu, args.mu_imag or 0.0), P, p.q, grid)
-    body = {
-        "max": result.value,
-        "argmax": result.argmax_json(),
-        "levels": list(result.level_values),
-    }
+        result = ver.oracle_fs_max(complex(args.mu, args.mu_imag or 0.0), P, p.q)
     payload = _payload(
-        {"which": args.which, "q": p.q, "k": p.k, "alpha": p.alpha,
-         "mu": args.mu, "P1": P.P1, "P2": P.P2, "P3": P.P3,
-         "grid": grid.to_json_dict()},
-        **body,
+        params,
+        max=result.value,
+        argmax=result.argmax_json(),
+        levels=list(result.level_values),
     )
     _emit(payload, [f"oracle max: {_fmt(result.value)}",
                     f"argmax B1: {_fmt(result.argmax.B1)}"], cfg)
@@ -334,6 +330,20 @@ def _load_points(path: str) -> tuple[ClassParams, ...]:
         raise CliError(f"--points file is malformed: {exc}") from exc
 
 
+def _ledger_summary(report: ver.VerificationReport) -> str:
+    lines = []
+    for r in report.records:
+        bound = "-" if r.bound is None else _fmt(r.bound)
+        oracle = "-" if r.oracle is None else _fmt(r.oracle)
+        lines.append(
+            f"[{r.status:>28}] q={_fmt(r.q)} k={_fmt(r.k)} alpha={_fmt(r.alpha)} "
+            f"{r.claim}: bound={bound} oracle={oracle}"
+        )
+    n_violated = sum(r.status == ver.STATUS_VIOLATED for r in report.records)
+    lines.append(f"{len(report.records)} records, {n_violated} violated")
+    return _lines_text(lines)
+
+
 def _cmd_ledger(args, cfg: CliConfig) -> int:
     points = _load_points(args.points) if args.points else ver.default_parameter_points()
     report = ver.run_ledger(
@@ -342,35 +352,16 @@ def _cmd_ledger(args, cfg: CliConfig) -> int:
         user_conic=_user_conic(args),
         tolerance=args.tolerance,
     )
-    if args.json_out:
-        report.write_json(args.json_out)
-    if args.csv_out:
-        report.write_csv(args.csv_out)
-    if cfg.fmt == "json":
-        text = json.dumps(report.to_json_dict(), indent=1) + "\n"
-    elif cfg.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv_module.DictWriter(buf, fieldnames=ver.CSV_FIELDS)
-        writer.writeheader()
-        writer.writerows(report.csv_rows())
-        text = buf.getvalue()
-    else:
-        lines = []
-        for r in report.records:
-            bound = "-" if r.bound is None else _fmt(r.bound)
-            oracle = "-" if r.oracle is None else _fmt(r.oracle)
-            lines.append(
-                f"[{r.status:>28}] q={_fmt(r.q)} k={_fmt(r.k)} alpha={_fmt(r.alpha)} "
-                f"{r.claim}: bound={bound} oracle={oracle}"
-            )
-        n_violated = sum(r.status == ver.STATUS_VIOLATED for r in report.records)
-        lines.append(f"{len(report.records)} records, {n_violated} violated")
-        text = "".join(line + "\n" for line in lines)
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    report_paths = {"json": args.json_out, "csv": args.csv_out}
+    renderers = {"json": report.json_text, "csv": report.csv_text,
+                 "human": lambda: _ledger_summary(report)}
+    # each format is rendered once, whether it goes to a report file, --out or stdout
+    texts = {fmt: render() for fmt, render in renderers.items()
+             if fmt == cfg.fmt or report_paths.get(fmt)}
+    for fmt, path in report_paths.items():
+        if path:
+            _write_text(texts[fmt], path)
+    _write_text(texts[cfg.fmt], cfg.out_path)
     return EXIT_FINDINGS if report.has_violations else EXIT_OK
 
 
@@ -406,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("human", "json", "csv"), default="human")
         sp.add_argument("--out", dest="out", default=None, help="write output to this path")
         if infile:
-            sp.add_argument("--in", dest="in_path", default=None, help="function JSON file")
+            sp.add_argument("--in", dest="in_path", required=True, help="function JSON file")
         if conic:
             sp.add_argument("--P1", type=float, default=None)
             sp.add_argument("--P2", type=float, default=None)
@@ -414,23 +405,25 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--conic", default=None, help='JSON file {"P": [P1, P2, P3]}')
 
     def class_flags(sp):
-        sp.add_argument("--q", type=float, default=None)
-        sp.add_argument("--k", type=float, default=None)
-        sp.add_argument("--alpha", type=float, default=None)
+        sp.add_argument("--q", type=float, required=True)
+        sp.add_argument("--k", type=float, required=True)
+        sp.add_argument("--alpha", type=float, required=True)
 
     def grid_flags(sp):
-        sp.add_argument("--nB", type=int, default=101)
-        sp.add_argument("--nRho", type=int, default=41)
-        sp.add_argument("--refine", type=int, default=2)
+        # the Fekete-Szego oracle is exact in B1 and x and takes no grid
+        sp.add_argument("--nB", type=int, default=101, help="B1 samples of the H2 scan")
+        sp.add_argument("--nRho", type=int, default=41, help="|x| samples of the H2 scan")
+        sp.add_argument("--refine", type=int, default=2,
+                        help="local 8x refinement passes of the H2 scan (at most 20)")
 
     sp = sub.add_parser("qnum", help="evaluate a q-number or symmetric q-number")
-    sp.add_argument("--n", type=float, default=None)
-    sp.add_argument("--q", type=float, default=None)
+    sp.add_argument("--n", type=float, required=True)
+    sp.add_argument("--q", type=float, required=True)
     sp.add_argument("--symmetric", action="store_true")
     common(sp)
 
     sp = sub.add_parser("deriv", help="q- or symmetric-q-derivative of a function file")
-    sp.add_argument("--q", type=float, default=None)
+    sp.add_argument("--q", type=float, required=True)
     sp.add_argument("--symmetric", action="store_true")
     common(sp, infile=True)
 
@@ -439,13 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, infile=True)
 
     sp = sub.add_parser("extremal", help="extremal function f_n as function JSON")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--order", type=int, default=ser.DEFAULT_ORDER)
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--order", type=int, default=None,
+                    help=f"series order, at least max(n, 2) (default max({ser.DEFAULT_ORDER}, n))")
     class_flags(sp)
     common(sp)
 
     sp = sub.add_parser("distortion", help="growth and derivative envelopes at |z| = r")
-    sp.add_argument("--r", type=float, default=None)
+    sp.add_argument("--r", type=float, required=True)
     class_flags(sp)
     common(sp)
 
@@ -458,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, conic=True)
 
     sp = sub.add_parser("fs-bound", help="closed-form bound on |a3 - mu a2^2|")
-    sp.add_argument("--mu", type=float, default=None)
+    sp.add_argument("--mu", type=float, required=True)
     sp.add_argument("--mu-imag", type=float, default=None)
     class_flags(sp)
     common(sp, conic=True)
@@ -484,8 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def dispatch(args) -> int:
     cfg = CliConfig(
-        subcommand=args.subcommand,
-        options=dict(vars(args)),
         fmt=getattr(args, "format", "human"),
         out_path=getattr(args, "out", None),
     )

@@ -12,17 +12,21 @@ is exactly |c0| + |c1|, attained at w = (c0/|c0|) / (c1/|c1|):
 * a3 - mu a2^2 = c0 + c1 x for fixed B1, with c1 = P1 (4 - B1^2) / (4 q3).
 
 The maximum of |u| over arg x is that of a quadratic in cos(arg x) (see
-_h2_cells), so the H2 oracle scans (B1, |x|) and the Fekete-Szego oracle
-B1 alone.  Every evaluated point is validated as a genuine Caratheodory
-triple for the whole inner disk (|B2|, |B3| <= 2); a violation aborts the
-scan rather than producing a fictitious functional value.
+_h2_cells), so the H2 oracle scans (B1, |x|).  The Fekete-Szego oracle
+needs no scan: c0 = K B1^2 for a constant K, so max_x |c0 + c1 x| =
+|K| t + P1 (4 - t) / (4 q3) is affine in t = B1^2 and its maximum over
+B1 in [0, 2] is at B1 = 0 or B1 = 2, the members subordinated through
+w(z) = z^2 and w(z) = z.  Every evaluated point is validated as a genuine
+Caratheodory triple for the whole inner disk (|B2|, |B3| <= 2); a
+violation aborts the scan rather than producing a fictitious functional
+value.
 
-Scans are grid search plus local refinement: after the coarse pass the
-running argmax is re-sampled on a window of one coarse cell at 8x the
-density, per refinement level, clipped to the closed parameter range.
-Each refinement window contains the current argmax exactly, so the
-reported maximum never decreases across levels.  Ties keep the
-lexicographically smallest grid index.
+The H2 scan is grid search plus local refinement: after the coarse pass
+the running argmax is re-sampled on a window of one coarse cell at 8x the
+density, per refinement level, clipped to [0, 2] x [0, 1].  Each
+refinement window contains the current argmax exactly, so the reported
+maximum never decreases across levels.  Ties keep the lexicographically
+smallest grid index.
 
 run_ledger() assembles one record per claim per parameter point,
 comparing each closed-form bound against its oracle maximum.  A negative
@@ -34,10 +38,10 @@ ledger is how that gets documented.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -92,11 +96,12 @@ class OracleSoundnessError(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleGrid:
-    """Sample counts for the (B1, |x|) scan.
+    """Sample counts for the H2 oracle's (B1, |x|) scan.
 
     Both axes include their endpoints ({0, 2} and {0, 1}).  refinement
     counts the local 8x re-sampling passes around the argmax, at most
-    MAX_REFINEMENT.  nB * nRho may not exceed MAX_GRID_POINTS.
+    MAX_REFINEMENT.  nB * nRho may not exceed MAX_GRID_POINTS.  The
+    Fekete-Szego oracle takes no grid: it is exact in B1 and x.
 
     nPhi and nZeta are accepted and unused: the oracles maximize over
     arg x and zeta in closed form.  The fields stay only because the
@@ -211,42 +216,9 @@ def _h2_cells(consts, b_vals, rho_vals):
     return u_abs.max(axis=0) + np.abs(v[0]), np.take_along_axis(cos, pick, 0)[0]
 
 
-def _fs_chunk(consts, mu, b_vals):
-    """Max over b_vals of max_x |a3 - mu a2^2| = |c0| + |c1|, and (B1, c0) there."""
-    c0, c1 = _fs_parts(consts, mu, b_vals)
-    vals = np.abs(c0) + np.abs(c1)
-    i = int(np.argmax(vals))
-    return float(vals[i]), (float(b_vals[i]), complex(c0[i]))
-
-
-def _scan_h2(consts, b_axis, rho_axis):
-    vals, cos = _h2_cells(consts, b_axis, rho_axis)
-    ib, ir = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    return float(vals[ib, ir]), (float(b_axis[ib]), float(rho_axis[ir]), float(cos[ib, ir]))
-
-
 def _refined_axis(center: float, spacing: float, lo: float, hi: float) -> np.ndarray:
     pts = center + spacing * np.arange(-8, 9) / 8.0
     return pts[(pts >= lo) & (pts <= hi)]
-
-
-def _refined_max(scan, spans, counts, refinement: int):
-    """Grid-plus-refinement maximum of scan over the box of axes [0, span].
-
-    scan(*axes) returns (value, point), where point starts with the
-    argmax's coordinate on each axis.  Returns (point, value, level values).
-    """
-    steps = [span / (n - 1) for span, n in zip(spans, counts)]
-    best_val, best = scan(*(np.linspace(0.0, span, n) for span, n in zip(spans, counts)))
-    levels = [best_val]
-    for _ in range(refinement):
-        val, point = scan(*(_refined_axis(c, h, 0.0, span)
-                            for c, h, span in zip(best, steps, spans)))
-        if val > best_val:
-            best_val, best = val, point
-        levels.append(best_val)
-        steps = [h / 8.0 for h in steps]
-    return best, best_val, tuple(levels)
 
 
 def _resolve_constants(P: ConicCoefficients, q: float):
@@ -263,31 +235,40 @@ def oracle_h2_max(
     """
     grid = grid or OracleGrid()
     consts = _resolve_constants(P, q)
-    (b0, rho0, cos0), _, levels = _refined_max(
-        partial(_scan_h2, consts), (2.0, 1.0), (grid.nB, grid.nRho), grid.refinement
-    )
+    b_axis, rho_axis = np.linspace(0.0, 2.0, grid.nB), np.linspace(0.0, 1.0, grid.nRho)
+    b_step, rho_step = 2.0 / (grid.nB - 1), 1.0 / (grid.nRho - 1)
+    levels: list[float] = []
+    for level in range(grid.refinement + 1):
+        if level:
+            b_axis = _refined_axis(b0, b_step, 0.0, 2.0)
+            rho_axis = _refined_axis(rho0, rho_step, 0.0, 1.0)
+            b_step, rho_step = b_step / 8.0, rho_step / 8.0
+        vals, cos = _h2_cells(consts, b_axis, rho_axis)
+        ib, ir = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        val = float(vals[ib, ir])
+        if levels and val <= levels[-1]:
+            levels.append(levels[-1])
+            continue
+        b0, rho0, cos0 = float(b_axis[ib]), float(rho_axis[ir]), float(cos[ib, ir])
+        levels.append(val)
     x = rho0 * complex(cos0, math.sqrt(1.0 - cos0 * cos0))
     u, v = _h2_parts(consts, b0, x)
     argmax = SchwarzTriple(B1=b0, x=x, zeta=_unit_ratio(u, v))
-    return OracleResult(float(abs(u) + abs(v)), argmax, levels)
+    return OracleResult(float(abs(u) + abs(v)), argmax, tuple(levels))
 
 
-def oracle_fs_max(
-    mu: complex, P: ConicCoefficients, q: float, grid: OracleGrid | None = None
-) -> OracleResult:
-    """Grid-plus-refinement maximum of |a3 - mu a2^2| over B1, exact in x.
+def oracle_fs_max(mu: complex, P: ConicCoefficients, q: float) -> OracleResult:
+    """Exact maximum of |a3 - mu a2^2|, taken at B1 = 0 or B1 = 2 (module docstring).
 
-    a2 and a3 do not involve zeta, so the argmax carries zeta = 1.  Only
-    grid.nB and grid.refinement shape this scan.
+    Ties keep B1 = 0.  The argmax carries x = c0/|c0| (1 where c0 = 0) and
+    zeta = 1, since a2 and a3 do not involve zeta.
     """
-    grid = grid or OracleGrid()
-    consts = _resolve_constants(P, q)
-    (b_best, best_c0), best_val, levels = _refined_max(
-        partial(_fs_chunk, consts, mu), (2.0,), (grid.nB,), grid.refinement
-    )
-    # c1 > 0 below B1 = 2 and c1 = 0 at B1 = 2, so x = c0/|c0| attains the maximum
-    argmax = SchwarzTriple(B1=b_best, x=_unit_ratio(best_c0, 1.0), zeta=1.0)
-    return OracleResult(best_val, argmax, levels)
+    b = np.array([0.0, 2.0])
+    c0, c1 = _fs_parts(_resolve_constants(P, q), mu, b)
+    vals = np.abs(c0) + np.abs(c1)
+    i = int(np.argmax(vals))
+    argmax = SchwarzTriple(B1=float(b[i]), x=_unit_ratio(c0[i], 1.0), zeta=1.0)
+    return OracleResult(float(vals[i]), argmax, (float(vals[i]),))
 
 
 # --- ledger -----------------------------------------------------------------
@@ -350,10 +331,12 @@ class VerificationReport:
             "records": [r.to_json_dict() for r in self.records],
         }
 
+    def json_text(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=1) + "\n"
+
     def write_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
+            fh.write(self.json_text())
 
     def csv_rows(self) -> list[dict]:
         rows = []
@@ -373,11 +356,16 @@ class VerificationReport:
             })
         return rows
 
+    def csv_text(self) -> str:
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS)
+        writer.writeheader()
+        writer.writerows(self.csv_rows())
+        return buf.getvalue()
+
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-            writer.writeheader()
-            writer.writerows(self.csv_rows())
+            fh.write(self.csv_text())
 
 
 def default_parameter_points() -> tuple[ClassParams, ...]:
@@ -466,7 +454,8 @@ def run_ledger(
             "B1 restricted to the real segment [0, 2] (rotation normalization); "
             "|a2 a4 - a3^2| and |a3 - mu a2^2| are unchanged by a_n -> e^{i(n-1)theta} a_n, "
             "so no maximum is lost",
-            "zeta and arg x (H2) and x (Fekete-Szego) are maximized in closed form, not sampled",
+            "zeta and arg x (H2) and B1 and x (Fekete-Szego) are maximized in closed form, "
+            "not sampled",
             "parabolic-regime (k=1) coefficients are reconstructed from the cited "
             "parabolic disk map, not taken from the bound statements themselves",
         ],
@@ -513,7 +502,7 @@ def _point_records(p, grid, user_conic, tolerance, rng_seed, index) -> list[Ledg
     mu_star = fekete_szego_breakpoint(p.q)
     fs_results = {}
     for label, mu in (("0", 0.0), ("0.5", 0.5), ("1", 1.0), ("star", mu_star)):
-        fs = oracle_fs_max(mu, P, p.q, grid)
+        fs = oracle_fs_max(mu, P, p.q)
         fs_results[label] = fs
         out.append(record(
             f"fekete-szego-mu-{label}",

@@ -222,6 +222,16 @@ class TestExtremalFunction:
         assert f.order == 40
         assert f.a(40) != 0
 
+    def test_order_below_n_is_refused(self):
+        # an explicit order must hold z^n; None means max(DEFAULT_ORDER, n)
+        for n, order in ((3, -7), (5, 2), (1, 1), (40, 39)):
+            with pytest.raises(ValueError, match=f"order = {order} is below max\\(n, 2\\) "
+                                                 f"= {max(n, 2)}"):
+                extremal_function(n, P_HALF, order=order)
+        assert extremal_function(5, P_HALF, order=5).order == 5
+        assert extremal_function(5, P_HALF).order == 32
+        assert extremal_function(1, P_HALF, order=2).order == 2
+
     def test_size_cap(self):
         # refused before the coefficient list is allocated
         for n, order in ((cls.MAX_EXTREMAL_ORDER + 1, 32), (2, cls.MAX_EXTREMAL_ORDER + 1),

@@ -151,6 +151,22 @@ class TestMemberAndExtremal:
             assert f"{flag.lstrip('-')} = {value}" in lines[0]
             assert f"must not exceed {MAX_EXTREMAL_ORDER}" in lines[0]
 
+    def test_extremal_order_below_n_is_usage_error(self, capsys, tmp_path):
+        cls_flags = ("--q", "0.5", "--k", "0", "--alpha", "0")
+        for n, order in (("3", "-7"), ("5", "2")):
+            out_path = tmp_path / f"f{n}.json"
+            code, out, err = run_cli(capsys, "extremal", "--n", n, "--order", order, *cls_flags,
+                                     "--out", str(out_path))
+            assert code == EXIT_ERROR
+            assert out == "" and not out_path.exists()
+            lines = err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+            assert f"order = {order}" in lines[0] and f"= {n}" in lines[0]
+        out_path = tmp_path / "f40.json"
+        code, _, _ = run_cli(capsys, "extremal", "--n", "40", *cls_flags, "--out", str(out_path))
+        assert code == EXIT_OK
+        assert json.loads(out_path.read_text())["order"] == 40
+
     def test_vanishing_function_is_witness(self, capsys, tmp_path):
         # f = z + z^2/0.52 vanishes at the grid point -0.52
         fpath = write_function(tmp_path / "f.json", [1.0, 1.0 / 0.52], order=16)
@@ -250,6 +266,15 @@ class TestOracleVerb:
         assert doc["max"] == pytest.approx(1.0, abs=1e-2)
         assert len(doc["levels"]) == 2
 
+    def test_fs_oracle_reports_no_grid(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "--which", "fs", "--mu", "0.5", "--q", "0.5",
+                               "--k", "1", "--alpha", "0", "--format", "json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert "grid" not in doc["params"]
+        assert doc["argmax"]["B1"] in (0.0, 2.0)
+        assert doc["levels"] == [doc["max"]]
+
     def test_fs_oracle_requires_mu(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--which", "fs", "--q", "1",
                                "--k", "0", "--alpha", "0")
@@ -307,6 +332,21 @@ class TestLedgerVerb:
         json_rec = next(r for r in doc["records"] if r["claim"] == "second-hankel-bound")
         assert float(rec["bound"]) == json_rec["bound"] == pytest.approx(7.0)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_report_file_matches_stdout(self, capsys, tmp_path, fmt):
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps([{"q": 0.8, "k": 0.0, "alpha": 0.25}]))
+        report = tmp_path / f"report.{fmt}"
+        out_path = tmp_path / f"out.{fmt}"
+        base = ("ledger", "--points", str(points), "--nB", "9", "--nRho", "8", "--refine", "0",
+                "--format", fmt)
+        code, out, _ = run_cli(capsys, *base, f"--{fmt}-out", str(report))
+        assert code == EXIT_FINDINGS  # the printed shortcut rows
+        assert out.encode() == report.read_bytes()
+        code, out, _ = run_cli(capsys, *base, "--out", str(out_path))
+        assert code == EXIT_FINDINGS and out == ""
+        assert out_path.read_bytes() == report.read_bytes()
+
     def test_malformed_points_file(self, capsys, tmp_path):
         points = tmp_path / "points.json"
         points.write_text(json.dumps({"q": 1.0}))
@@ -332,6 +372,20 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("qstarlike ")
+
+    @pytest.mark.parametrize("argv, missing", [
+        (("deriv", "--q", "0.5"), "--in"),
+        (("member", "--q", "0.5", "--k", "0"), "--alpha, --in"),
+        (("extremal", "--q", "0.5", "--k", "0", "--alpha", "0"), "--n"),
+        (("distortion", "--q", "0.5", "--k", "0", "--alpha", "0"), "--r"),
+        (("fs-bound", "--q", "0.5", "--k", "0", "--alpha", "0"), "--mu"),
+        (("oracle", "--which", "h2", "--k", "0", "--alpha", "0"), "--q"),
+    ])
+    def test_required_flags(self, capsys, argv, missing):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == f"error: the following arguments are required: {missing}\n"
 
     def test_unknown_flag_is_usage_error(self):
         proc = subprocess.run(

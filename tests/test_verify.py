@@ -28,7 +28,6 @@ from qstarlike.verify import (
     STATUS_VIOLATED,
     _check_caratheodory,
     _distortion_oracles,
-    _fs_chunk,
     _fs_parts,
     _h2_cells,
     _h2_parts,
@@ -77,9 +76,10 @@ class TestOracleScans:
         assert vals[0, 0] == 0.0
         # at B1 = 0 the x-free part of a3 - mu a2^2 vanishes; the maximum
         # over |x| <= 1 is |a3| = P1/q3 (the w(z) = z^2 member)
-        val_fs, (_, c0) = _fs_chunk(consts, 0.5, np.array([0.0]))
-        assert c0 == 0.0
-        assert val_fs == pytest.approx(P00.P1 / symmetric_gaps(1.0)[1], rel=1e-15)
+        c0, c1 = _fs_parts(consts, 0.5, np.array([0.0]))
+        assert c0[0] == 0.0
+        assert abs(c0[0]) + abs(c1[0]) == pytest.approx(P00.P1 / symmetric_gaps(1.0)[1],
+                                                        rel=1e-15)
 
     def test_classical_h2_anchor(self):
         result = oracle_h2_max(P00, 1.0, SMALL)
@@ -96,9 +96,6 @@ class TestOracleScans:
                 res = oracle_h2_max(P, q, grid)
                 assert len(res.level_values) == refinement + 1
                 assert all(b >= a_ for a_, b in zip(res.level_values, res.level_values[1:]))
-                for mu in (0.0, 0.5):
-                    fs = oracle_fs_max(mu, P, q, grid)
-                    assert all(b >= a_ for a_, b in zip(fs.level_values, fs.level_values[1:]))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -183,12 +180,11 @@ class TestOracleScans:
     @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 2.5])
     def test_fs_exact_x_against_brute_force(self, q, k, alpha, mu):
         # Brute force over a (rho, phi) grid of x with 64 angles on |x| = 1
-        # at every B1 of the oracle's axis; per B1 the grid loses at most
+        # at 17 values of B1, ends included; per B1 the grid loses at most
         # |c1| (1 - cos(pi/64)).
         P = conic_coefficients(k, alpha)
-        grid = OracleGrid(nB=17, nRho=8, refinement=0)
         consts = (P.P1, P.P2, P.P3, *symmetric_gaps(q))
-        b = np.linspace(0.0, 2.0, grid.nB)
+        b = np.linspace(0.0, 2.0, 17)
         x = (np.linspace(0.0, 1.0, 9)[:, None]
              * np.exp(2j * np.pi * np.arange(64) / 64)).ravel()
         b2, _ = caratheodory_b2_b3(b[:, None], x, 0.0)
@@ -199,7 +195,7 @@ class TestOracleScans:
         allowance = np.abs(c1) * (1.0 - math.cos(math.pi / 64)) + 1e-14
         assert np.all(brute <= exact * (1.0 + 1e-12) + 1e-15)
         assert np.all(exact <= brute + allowance)
-        oracle = oracle_fs_max(mu, P, q, grid).value
+        oracle = oracle_fs_max(mu, P, q).value
         assert brute.max() <= oracle * (1.0 + 1e-12)
         assert oracle <= brute.max() + allowance.max()
 
@@ -220,14 +216,14 @@ class TestOracleScans:
         consts = (P00.P1, P00.P2, P00.P3, *symmetric_gaps(q))
         c0, _ = _fs_parts(consts, mu, np.linspace(0, 2, 21))
         sub_val = float(np.abs(c0).max())
-        full = oracle_fs_max(mu, P00, q, SMALL)
+        full = oracle_fs_max(mu, P00, q)
         assert full.value >= sub_val - 1e-12
 
     def test_fs_branch_point_sharp_at_half_plane(self):
         # with P1 = P2 the branch-point bound P2/q3 is attained, not exceeded
         q = 0.6
         q2, q3, _ = symmetric_gaps(q)
-        res = oracle_fs_max(q2 / q3, P00, q, SMALL)
+        res = oracle_fs_max(q2 / q3, P00, q)
         assert res.value == pytest.approx(P00.P2 / q3, rel=1e-9)
 
     def test_fs_branch_point_exceeds_printed_bound_in_parabolic_regime(self):
@@ -237,7 +233,7 @@ class TestOracleScans:
         q = 0.5
         P = conic_coefficients(1.0, 0.0)
         q2, q3, _ = symmetric_gaps(q)
-        res = oracle_fs_max(q2 / q3, P, q, SMALL)
+        res = oracle_fs_max(q2 / q3, P, q)
         assert res.value == pytest.approx(P.P1 / q3, rel=1e-9)
         assert res.value > P.P2 / q3 + 1e-3
 
@@ -245,6 +241,48 @@ class TestOracleScans:
         with pytest.raises(OracleSoundnessError):
             _check_caratheodory(np.array([3.0 + 0j]))
 
+
+
+def _fs_cases():
+    """(P, q, mu) at the default points and two user coefficient sets, real and complex mu."""
+    cases = [(conic_coefficients(p.k, p.alpha), p.q) for p in default_parameter_points()]
+    cases += [(ConicCoefficients(*user), q)
+              for user in ((1.6, 0.7, 2.5), (0.3, 5.0, 0.1)) for q in (0.5, 1.0)]
+    for P, q in cases:
+        for mu in (0.0, 0.5, 1.0, fekete_szego_breakpoint(q), 2.5, -1.0, 0.3 + 0.7j):
+            yield P, q, mu
+
+
+class TestFeketeSzegoOracle:
+    def test_functional_is_affine_in_b1_squared(self):
+        # max_x |a3 - mu a2^2| = |c0| + |c1| = |K| t + P1 (4 - t)/(4 q3) in
+        # t = B1^2, so it equals its chord between B1 = 0 and B1 = 2
+        b = np.linspace(0.0, 2.0, 2001)
+        for P, q, mu in _fs_cases():
+            c0, c1 = _fs_parts((P.P1, P.P2, P.P3, *symmetric_gaps(q)), mu, b)
+            g = np.abs(c0) + np.abs(c1)
+            chord = g[0] + (g[-1] - g[0]) * b * b / 4.0
+            # relative to the functional's scale: near its zeros g is all rounding
+            assert np.abs(g - chord).max() <= 1e-14 * g.max()
+
+    def test_matches_keogh_merkes_value(self):
+        # a3 - mu a2^2 = (P1 / (2 q3)) (B2 - v B1^2), and the sharp
+        # Caratheodory bound |B2 - v B1^2| <= 2 max(1, |2v - 1|) is attained
+        for P, q, mu in _fs_cases():
+            q2, q3, _ = symmetric_gaps(q)
+            v = mu * P.P1 * q3 / (2 * q2 * q2) - (P.P1**2 - P.P1 * q2 + P.P2 * q2) / (2 * P.P1 * q2)
+            sharp = (P.P1 / q3) * max(1.0, abs(2 * v - 1))
+            res = oracle_fs_max(mu, P, q)
+            assert res.value == pytest.approx(sharp, rel=1e-14)
+            assert res.argmax.B1 in (0.0, 2.0)
+            assert res.level_values == (res.value,)
+
+    def test_argmax_attains_value(self):
+        from qstarlike.hankel import caratheodory_from_parameters, coefficients_from_schwarz
+        for P, q, mu in _fs_cases():
+            res = oracle_fs_max(mu, P, q)
+            a2, a3, _ = coefficients_from_schwarz(P, caratheodory_from_parameters(res.argmax), q)
+            assert abs(a3 - mu * a2 * a2) == pytest.approx(res.value, rel=1e-13)
 
 
 class TestLedger:
