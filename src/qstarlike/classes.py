@@ -90,15 +90,19 @@ class DecompositionWeights:
     lambdas: tuple[float, ...]
 
     def __post_init__(self):
-        lams = tuple(float(v) for v in self.lambdas)
+        lams = tuple(map(float, self.lambdas))
         if not lams:
             raise ValueError("weight vector is empty")
-        if any(v < -1e-12 for v in lams):
+        lowest = min(lams)
+        if lowest < -1e-12:
             raise ValueError("weights must be nonnegative")
         total = math.fsum(lams)
-        if abs(total - 1.0) > 1e-12:
+        # Written so that a NaN weight, which min() may pass over, fails here.
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weights must sum to 1, got {total!r}")
-        object.__setattr__(self, "lambdas", tuple(max(0.0, v) for v in lams))
+        if lowest < 0.0:
+            lams = tuple(max(0.0, v) for v in lams)
+        object.__setattr__(self, "lambdas", lams)
 
 
 def threshold_denominator(n: int, p: ClassParams) -> float:
@@ -136,23 +140,22 @@ def sufficient_membership(f: TruncatedSeries, p: ClassParams) -> MembershipVerdi
     return MembershipVerdict(CERTIFIED_INCONCLUSIVE, margin)
 
 
-def t_form_magnitudes(f: TruncatedSeries) -> tuple[float, ...]:
+def t_form_magnitudes(f: TruncatedSeries) -> np.ndarray:
     """(|a2|, |a3|, ...) for f = z - a2 z^2 - ...; raises TFormError otherwise.
 
     Each coefficient must be real and nonpositive up to T_FORM_ZERO_TOL;
     the magnitudes returned are exact, however small.
     """
     require_normalized(f, "the negative-coefficient form")
-    mags = []
-    for n in range(2, f.order + 1):
-        c = f.coeffs[n]
-        if abs(c.imag) > T_FORM_ZERO_TOL or c.real > T_FORM_ZERO_TOL:
-            raise TFormError(
-                f"coefficient of z^{n} is {c!r}; the negative-coefficient form needs "
-                "real, nonpositive values there"
-            )
-        mags.append(abs(c))
-    return tuple(mags)
+    tail = np.array(f.coeffs[2:], dtype=complex)
+    bad = (np.abs(tail.imag) > T_FORM_ZERO_TOL) | (tail.real > T_FORM_ZERO_TOL)
+    if bad.any():
+        n = int(np.argmax(bad)) + 2
+        raise TFormError(
+            f"coefficient of z^{n} is {f.coeffs[n]!r}; the negative-coefficient form needs "
+            "real, nonpositive values there"
+        )
+    return np.abs(tail)
 
 
 def ts_membership(f: TruncatedSeries, p: ClassParams) -> MembershipVerdict:
@@ -162,8 +165,7 @@ def ts_membership(f: TruncatedSeries, p: ClassParams) -> MembershipVerdict:
     witness z = 1: clearing denominators of the defining inequality along
     the real axis shows it is violated exactly in the limit z -> 1-.
     """
-    mags = t_form_magnitudes(f)
-    total = math.fsum(phi * a for phi, a in zip(phi_table(p, f.order), mags))
+    total = math.fsum(phi_table(p, f.order) * t_form_magnitudes(f))
     margin = (1.0 - p.alpha) - total
     # Members sitting exactly on the threshold can land an ulp below zero;
     # the slop is a few machine epsilons of the sum, not a modeling tolerance.
@@ -189,13 +191,12 @@ def sampled_membership(
     require_normalized(f, "membership sampling")
     if grid is None:
         grid = default_disk_grid()
-    z = grid.mesh()
     f_vals = ser.evaluate_on_grid(f, grid)
     tiny = np.abs(f_vals) < 1e-12
     if tiny.any():
         i, j = map(int, np.argwhere(tiny)[0])
         return MembershipVerdict(
-            CERTIFIED_NOT_MEMBER_WITNESS, margin=-math.inf, witness=complex(z[i, j])
+            CERTIFIED_NOT_MEMBER_WITNESS, margin=-math.inf, witness=complex(grid.mesh()[i, j])
         )
     numerator = ser.shift_up(symmetric_q_derivative(f, p.q))
     w_vals = ser.evaluate_on_grid(numerator, grid) / f_vals
@@ -206,7 +207,7 @@ def sampled_membership(
         return MembershipVerdict(
             CERTIFIED_NOT_MEMBER_WITNESS,
             margin=float(margins[i, j]),
-            witness=complex(z[i, j]),
+            witness=complex(grid.mesh()[i, j]),
         )
     return MembershipVerdict(CERTIFIED_INCONCLUSIVE, margin=float(margins.min()))
 
@@ -267,15 +268,14 @@ def distortion_equality_function(p: ClassParams, order: int = DEFAULT_ORDER) -> 
 
 def extreme_point_decompose(f: TruncatedSeries, p: ClassParams) -> DecompositionWeights:
     """Weights lambda_n = phi_n |a_n| / (1-alpha), lambda_1 = 1 - sum(rest)."""
-    mags = t_form_magnitudes(f)
-    lams = [phi * a / (1.0 - p.alpha) for phi, a in zip(phi_table(p, f.order), mags)]
+    lams = phi_table(p, f.order) * t_form_magnitudes(f) / (1.0 - p.alpha)
     lam1 = 1.0 - math.fsum(lams)
     if lam1 < -1e-12:
         raise DecompositionError(
             f"not in the class (coefficient sum exceeds the budget by {-lam1:.3e}); "
             "no convex decomposition over the extreme points exists"
         )
-    return DecompositionWeights((max(0.0, lam1), *lams))
+    return DecompositionWeights((max(0.0, lam1), *lams.tolist()))
 
 
 def extreme_point_compose(
@@ -287,12 +287,10 @@ def extreme_point_compose(
         order = max(DEFAULT_ORDER, n_max)
     if order < n_max:
         raise ValueError(f"order {order} is below the number of weights {n_max}")
-    taylor = [0j] * order
-    taylor[0] = 1.0 + 0j
-    phi = phi_table(p, n_max)
-    for n in range(2, n_max + 1):
-        taylor[n - 1] = -w.lambdas[n - 1] * ((1.0 - p.alpha) / phi[n - 2])
-    return TruncatedSeries.from_taylor(taylor, order=order)
+    taylor = np.zeros(order, dtype=complex)
+    taylor[0] = 1.0
+    taylor[1:n_max] = -np.array(w.lambdas[1:]) * ((1.0 - p.alpha) / phi_table(p, n_max))
+    return TruncatedSeries.from_taylor(taylor.tolist(), order=order)
 
 
 def random_certified_member(

@@ -150,8 +150,15 @@ def _resolve_conic(args, p: ClassParams) -> ConicCoefficients:
     return conic_coefficients(p.k, p.alpha)
 
 
+# (flag without "--", OracleGrid field) of the H2 scan's grid flags
+_GRID_FLAGS = (("nB", "nB"), ("nRho", "nRho"), ("refine", "refinement"))
+
+
 def _oracle_grid(args) -> ver.OracleGrid:
-    return ver.OracleGrid(nB=args.nB, nRho=args.nRho, refinement=args.refine)
+    """The H2 scan grid; flags left unset keep OracleGrid's defaults."""
+    given = {field: getattr(args, flag) for flag, field in _GRID_FLAGS
+             if getattr(args, flag) is not None}
+    return ver.OracleGrid(**given)
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -304,6 +311,9 @@ def _cmd_oracle(args, cfg: CliConfig) -> int:
     else:
         if args.mu is None:
             raise CliError("--mu is required for the fs oracle")
+        given = [f"--{flag}" for flag, _ in _GRID_FLAGS if getattr(args, flag) is not None]
+        if given:
+            raise CliError(f"--which fs takes no grid; {', '.join(given)} apply to the H2 scan only")
         result = ver.oracle_fs_max(complex(args.mu, args.mu_imag or 0.0), P, p.q)
     payload = _payload(
         params,
@@ -410,11 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--alpha", type=float, required=True)
 
     def grid_flags(sp):
-        # the Fekete-Szego oracle is exact in B1 and x and takes no grid
-        sp.add_argument("--nB", type=int, default=101, help="B1 samples of the H2 scan")
-        sp.add_argument("--nRho", type=int, default=41, help="|x| samples of the H2 scan")
-        sp.add_argument("--refine", type=int, default=2,
-                        help="local 8x refinement passes of the H2 scan (at most 20)")
+        # the Fekete-Szego oracle is exact in B1 and x, takes no grid and refuses these;
+        # None means unset, so the defaults live in OracleGrid alone
+        sp.add_argument("--nB", type=int, default=None,
+                        help="B1 samples of the H2 scan (default 101)")
+        sp.add_argument("--nRho", type=int, default=None,
+                        help="|x| samples of the H2 scan (default 41)")
+        sp.add_argument("--refine", type=int, default=None,
+                        help="local 8x refinement passes of the H2 scan (default 2, at most 20)")
 
     sp = sub.add_parser("qnum", help="evaluate a q-number or symmetric q-number")
     sp.add_argument("--n", type=float, required=True)

@@ -3,8 +3,7 @@
 A series is stored densely as coefficients (c0, c1, ..., cN) of
 z^0 .. z^N; N is the truncation order.  Normalized analytic functions
 f(z) = z + a2 z^2 + ... are the special case c0 = 0, c1 = 1.  All values
-are immutable and every operation is a pure function, so instances can be
-shared freely between workers.
+are immutable and every operation is a pure function.
 
 Arithmetic is exact polynomial arithmetic truncated at the common order;
 nothing here attempts analytic continuation or arbitrary precision.
@@ -17,6 +16,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,10 +52,9 @@ class TruncatedSeries:
     def __post_init__(self):
         if len(self.coeffs) < 1:
             raise ValueError("series needs at least a constant term")
-        cleaned = tuple(complex(c) for c in self.coeffs)
-        for c in cleaned:
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError("series coefficients must be finite")
+        cleaned = tuple(map(complex, self.coeffs))
+        if not all(map(cmath.isfinite, cleaned)):
+            raise ValueError("series coefficients must be finite")
         object.__setattr__(self, "coeffs", cleaned)
 
     @property
@@ -86,7 +85,7 @@ class TruncatedSeries:
         The result is zero-padded (or rejected, never silently cut) to
         `order` when given.
         """
-        coeffs = [0j] + [complex(a) for a in taylor]
+        coeffs = [0j, *taylor]  # __post_init__ converts every entry to complex
         if order is not None:
             if order + 1 < len(coeffs):
                 raise ValueError(f"{len(coeffs) - 1} coefficients exceed order {order}")
@@ -305,9 +304,12 @@ class DiskGrid:
 
     def mesh(self):
         """Complex ndarray of shape (len(radii), n_angles)."""
-        r = np.asarray(self.radii)[:, None]
-        t = 2.0 * np.pi * np.arange(self.n_angles)[None, :] / self.n_angles
-        return r * np.exp(1j * t)
+        return np.asarray(self.radii)[:, None] * _roots_of_unity(self.n_angles)[None, :]
+
+
+def _roots_of_unity(n: int) -> np.ndarray:
+    """e^(i t_j) at the grid angles t_j = 2 pi j / n, j = 0 .. n-1."""
+    return np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
 
 
 def default_disk_grid() -> DiskGrid:
@@ -320,13 +322,27 @@ def default_disk_grid() -> DiskGrid:
     return DiskGrid(radii=radii, n_angles=96)
 
 
+@lru_cache(maxsize=32)
+def _phase_table(n_angles: int, order: int) -> np.ndarray:
+    """Read-only (order + 1, n_angles) table of e^(i n t_j), t_j = 2 pi j / n_angles.
+
+    Entry (n, j) is the root of unity number (n * j) mod n_angles, so every
+    entry is one exp of an angle in [0, 2 pi), with no accumulated products.
+    """
+    table = _roots_of_unity(n_angles)[np.outer(np.arange(order + 1), np.arange(n_angles)) % n_angles]
+    table.flags.writeable = False
+    return table
+
+
 def evaluate_on_grid(f: TruncatedSeries, grid: DiskGrid):
-    """Vectorized evaluate() over a DiskGrid; returns (R, A) complex array."""
-    z = grid.mesh()
-    acc = np.zeros_like(z)
-    for c in reversed(f.coeffs):
-        acc = acc * z + c
-    return acc
+    """Vectorized evaluate() over a DiskGrid; returns (R, A) complex array.
+
+    On the polar grid f(r_i e^(i t_j)) = sum_n (c_n r_i^n) e^(i n t_j): a
+    (radii x order+1) radial matrix times the cached phase table.
+    """
+    powers = np.arange(f.order + 1)
+    radial = np.array(f.coeffs) * np.asarray(grid.radii)[:, None] ** powers
+    return radial @ _phase_table(grid.n_angles, f.order)
 
 
 # --- function files ---------------------------------------------------------

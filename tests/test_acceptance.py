@@ -364,3 +364,8 @@ class TestLedgerStatusesPinned:
         report("default-ledger statuses pinned", not changed,
                f"{len(changed)} of {len(want)} changed")
         assert not changed
+
+    def test_default_ledger_report_is_reproducible(self, default_ledger):
+        ledger, _ = default_ledger
+        again = run_ledger(default_parameter_points())
+        assert again.json_text() == ledger.json_text()

@@ -119,6 +119,9 @@ class TestTsMembership:
             ts_membership(member(1.0, 0.2), P_HALF)
         with pytest.raises(TFormError):
             ts_membership(member(1.0, 0.1j), P_HALF)
+        # the message names the first offending power, not a later one
+        with pytest.raises(TFormError, match=r"coefficient of z\^4 is "):
+            extreme_point_decompose(member(1.0, -0.1, 0.0, 0.3j, 0.2, order=8), P_HALF)
 
     def test_tiny_positive_noise_tolerated(self):
         f = member(1.0, -0.1, 5e-15)
@@ -350,6 +353,12 @@ class TestExtremePoints:
             DecompositionWeights((0.5, 0.4))  # does not sum to 1
         with pytest.raises(ValueError):
             DecompositionWeights((1.5, -0.5))
+        for lams in ((math.nan, 1.0), (1.0, math.nan), (math.nan, 1.5, -0.5)):
+            with pytest.raises(ValueError):
+                DecompositionWeights(lams)
+        # rounding-level negatives are clamped to 0; nonnegative weights are kept as given
+        assert DecompositionWeights((1.0 + 1e-13, -1e-13)).lambdas == (1.0 + 1e-13, 0.0)
+        assert DecompositionWeights((0.25, 0.75)).lambdas == (0.25, 0.75)
 
     def test_compose_order_below_weight_count(self):
         w = DecompositionWeights((0.2, 0.3, 0.5))

@@ -275,6 +275,21 @@ class TestOracleVerb:
         assert doc["argmax"]["B1"] in (0.0, 2.0)
         assert doc["levels"] == [doc["max"]]
 
+    @pytest.mark.parametrize("flags", [
+        ("--nB", "4", "--refine", "99"),
+        ("--nB", "101"),
+        ("--nRho", "41"),
+        ("--refine", "2"),
+    ])
+    def test_fs_oracle_refuses_grid_flags(self, capsys, flags):
+        code, out, err = run_cli(capsys, "oracle", "--which", "fs", "--mu", "0.5", "--q", "0.5",
+                                 "--k", "0", "--alpha", "0", *flags)
+        assert code == EXIT_ERROR
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert all(flag in lines[0] for flag in flags if flag.startswith("--"))
+
     def test_fs_oracle_requires_mu(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--which", "fs", "--q", "1",
                                "--k", "0", "--alpha", "0")

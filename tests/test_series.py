@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qstarlike import series as ser
+from qstarlike.classes import extremal_function, sampled_membership
+from qstarlike.conic import ClassParams
 from qstarlike.series import (
     DiskGrid,
     OrderMismatchError,
@@ -231,11 +233,28 @@ class TestDiskGrid:
             assert abs(mesh[i, j] - z) < 1e-15
 
     def test_grid_evaluation_matches_scalar(self):
-        grid = DiskGrid(radii=(0.3, 0.6), n_angles=8)
-        f = S(1, 0.2, -0.3j, 0.05)
-        vals = ser.evaluate_on_grid(f, grid)
-        for i, j, z in grid.points():
-            assert abs(vals[i, j] - ser.evaluate(f, z)) < 1e-14
+        phases = np.exp(2j * np.pi * np.random.default_rng(7).random(63))
+        cases = [
+            (S(1, 0.2, -0.3j, 0.05), DiskGrid(radii=(0.3, 0.6), n_angles=8)),
+            (S(1, 0.2, -0.3j, 0.05), default_disk_grid()),
+            (S(1, *(0.9 ** np.arange(2, 65) * phases)), default_disk_grid()),  # order 64
+            (extremal_function(1024, ClassParams(1.0, 0.0, 0.0), order=1024), default_disk_grid()),
+            (S(1, 1 / 0.52), default_disk_grid()),  # f(-0.52) = 0 on the grid
+        ]
+        for f, grid in cases:
+            # both evaluations err by a few ulp per term: O(order * eps * sum |a_n| |z|^n)
+            vals = ser.evaluate_on_grid(f, grid)
+            mags = np.abs(np.array(f.coeffs))
+            powers = np.arange(f.order + 1)
+            for i, j, z in grid.points():
+                tol = 4 * (f.order + 1) * np.finfo(float).eps * float(mags @ abs(z) ** powers)
+                assert abs(vals[i, j] - ser.evaluate(f, z)) <= tol, (f.order, z)
+
+    def test_zero_on_grid_is_a_witness(self):
+        grid = default_disk_grid()
+        verdict = sampled_membership(S(1, 1 / 0.52), ClassParams(0.5, 0.0, 0.0), grid)
+        assert verdict.margin == -math.inf
+        assert verdict.witness == complex(grid.mesh()[grid.radii.index(0.52), grid.n_angles // 2])
 
 
 class TestJson:
