@@ -185,6 +185,11 @@ class TestSampledMembership:
         assert verdict.witness == pytest.approx(0.5)
         assert verdict.margin == -math.inf
         assert verdict.to_json_dict()["margin"] is None
+        # on the default grid: f = z + z^2/0.52 vanishes at the grid point -0.52
+        grid = default_disk_grid()
+        verdict = sampled_membership(member(1.0, 1 / 0.52), P_HALF, grid)
+        assert verdict.margin == -math.inf
+        assert verdict.witness == complex(grid.mesh()[grid.radii.index(0.52), grid.n_angles // 2])
 
     def test_derivative_series_rejected(self):
         from qstarlike.qcalc import symmetric_q_derivative

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qstarlike import series as ser
-from qstarlike.classes import extremal_function, sampled_membership
+from qstarlike.classes import extremal_function
 from qstarlike.conic import ClassParams
 from qstarlike.series import (
     DiskGrid,
@@ -249,12 +249,6 @@ class TestDiskGrid:
             for i, j, z in grid.points():
                 tol = 4 * (f.order + 1) * np.finfo(float).eps * float(mags @ abs(z) ** powers)
                 assert abs(vals[i, j] - ser.evaluate(f, z)) <= tol, (f.order, z)
-
-    def test_zero_on_grid_is_a_witness(self):
-        grid = default_disk_grid()
-        verdict = sampled_membership(S(1, 1 / 0.52), ClassParams(0.5, 0.0, 0.0), grid)
-        assert verdict.margin == -math.inf
-        assert verdict.witness == complex(grid.mesh()[grid.radii.index(0.52), grid.n_angles // 2])
 
 
 class TestJson:
