@@ -114,9 +114,20 @@ def threshold_denominator(n: int, p: ClassParams) -> float:
 
 @lru_cache(maxsize=64)
 def phi_table(p: ClassParams, order: int) -> np.ndarray:
-    """Read-only (phi_2, ..., phi_order), elementwise equal to threshold_denominator."""
+    """Read-only (phi_2, ..., phi_order), elementwise equal to threshold_denominator.
+
+    A weight that overflows a double raises OverflowError naming its n; it
+    would otherwise turn into inf, and inf * 0 into NaN in every weighted sum.
+    """
     brackets = np.array(_q_factor_table(p.q, order, True)[1:])
-    phi = brackets * (p.k + 1.0) - (p.k + p.alpha)
+    with np.errstate(over="ignore"):
+        phi = brackets * (p.k + 1.0) - (p.k + p.alpha)
+    overflowed = np.flatnonzero(np.isinf(phi))
+    if overflowed.size:
+        n = int(overflowed[0]) + 2
+        raise OverflowError(
+            f"phi_{n} = [{n}]~_q (k+1) - (k+alpha) overflows a double at q={p.q}, k={p.k}"
+        )
     phi.flags.writeable = False
     return phi
 
@@ -216,7 +227,7 @@ def extremal_function(n: int, p: ClassParams, order: int | None = None) -> Trunc
     """f_1(z) = z and f_n(z) = z - (1-alpha)/phi_n * z^n, the extreme points.
 
     order defaults to max(DEFAULT_ORDER, n); an explicit order below
-    max(n, 2) is refused.
+    max(n, 2) is refused, and so is one whose weights phi_table overflow.
     """
     if n < 1:
         raise ValueError(f"extremal functions are indexed from 1, got {n}")
@@ -226,11 +237,12 @@ def extremal_function(n: int, p: ClassParams, order: int | None = None) -> Trunc
         raise ValueError(f"n = {n} and order = {order} must not exceed {MAX_EXTREMAL_ORDER}")
     if order < max(n, 2):
         raise ValueError(f"order = {order} is below max(n, 2) = {max(n, 2)} for n = {n}")
+    phi = phi_table(p, order)
     if n == 1:
         return TruncatedSeries.identity(order)
     taylor = [0j] * n
     taylor[0] = 1.0 + 0j
-    taylor[n - 1] = -coefficient_threshold(n, p)
+    taylor[n - 1] = -(1.0 - p.alpha) / phi[n - 2]
     return TruncatedSeries.from_taylor(taylor, order=order)
 
 

@@ -17,15 +17,17 @@ import argparse
 import csv as csv_module
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
+# classes and verify load numpy, so they are imported inside the handlers that
+# use them; the closed-form verbs (qnum, deriv, hankel-bound, fs-bound) and
+# --version start without it.
 from . import __version__
-from . import classes as cls
 from . import hankel as hk
 from . import qcalc
 from . import series as ser
-from . import verify as ver
 from .conic import ClassParams, ConicCoefficients, conic_coefficients
 
 EXIT_OK = 0
@@ -98,6 +100,12 @@ def _payload(params: dict, **body) -> dict:
 # --- flag validation ---------------------------------------------------------
 
 
+def _check_finite(flag: str, value: float | None) -> float | None:
+    if value is not None and not math.isfinite(value):
+        raise CliError(f"--{flag} must be finite, got {value}")
+    return value
+
+
 def _check_q(q: float) -> float:
     if not 0.0 < q <= 1.0:
         raise CliError(f"--q must lie in (0, 1], got {q}")
@@ -154,8 +162,10 @@ def _resolve_conic(args, p: ClassParams) -> ConicCoefficients:
 _GRID_FLAGS = (("nB", "nB"), ("nRho", "nRho"), ("refine", "refinement"))
 
 
-def _oracle_grid(args) -> ver.OracleGrid:
-    """The H2 scan grid; flags left unset keep OracleGrid's defaults."""
+def _oracle_grid(args):
+    """The H2 scan's OracleGrid; flags left unset keep its defaults."""
+    from . import verify as ver
+
     given = {field: getattr(args, flag) for flag, field in _GRID_FLAGS
              if getattr(args, flag) is not None}
     return ver.OracleGrid(**given)
@@ -166,7 +176,7 @@ def _oracle_grid(args) -> ver.OracleGrid:
 
 def _cmd_qnum(args, cfg: CliConfig) -> int:
     q = _check_q(args.q)
-    n = args.n
+    n = _check_finite("n", args.n)
     if args.symmetric:
         if n < 1 or not float(n).is_integer():
             raise CliError(f"--n must be a positive integer for symmetric q-numbers, got {n}")
@@ -193,6 +203,8 @@ def _cmd_deriv(args, cfg: CliConfig) -> int:
 def _cmd_member(args, cfg: CliConfig) -> int:
     p = _class_params(args)
     f = ser.load_function(args.in_path)
+    from . import classes as cls
+
     sufficient = cls.sufficient_membership(f, p)
     try:
         t_form = cls.ts_membership(f, p)
@@ -225,6 +237,8 @@ def _cmd_extremal(args, cfg: CliConfig) -> int:
     n = args.n
     if n < 1:
         raise CliError(f"--n must be at least 1, got {n}")
+    from . import classes as cls
+
     f = cls.extremal_function(n, p, order=args.order)
     doc = ser.to_json_dict(f)
     payload = _payload(
@@ -239,6 +253,8 @@ def _cmd_distortion(args, cfg: CliConfig) -> int:
     r = args.r
     if not 0.0 <= r < 1.0:
         raise CliError(f"--r must lie in [0, 1), got {r}")
+    from . import classes as cls
+
     lo, hi = cls.distortion_bounds(r, p)
     dlo, dhi = cls.derivative_distortion_bounds(r, p)
     payload = _payload(
@@ -257,6 +273,8 @@ def _cmd_distortion(args, cfg: CliConfig) -> int:
 def _cmd_decompose(args, cfg: CliConfig) -> int:
     p = _class_params(args)
     f = ser.load_function(args.in_path)
+    from . import classes as cls
+
     weights = cls.extreme_point_decompose(f, p)
     payload = _payload(
         {"q": p.q, "k": p.k, "alpha": p.alpha, "in": args.in_path},
@@ -284,9 +302,9 @@ def _cmd_hankel_bound(args, cfg: CliConfig) -> int:
 
 
 def _cmd_fs_bound(args, cfg: CliConfig) -> int:
+    mu = complex(_check_finite("mu", args.mu), _check_finite("mu-imag", args.mu_imag) or 0.0)
     p = _class_params(args)
     P = _resolve_conic(args, p)
-    mu = complex(args.mu, args.mu_imag or 0.0)
     bound = hk.fekete_szego_bound_complex(mu, P, p.q)
     real_bound = None if mu.imag else hk.fekete_szego_bound_real(mu.real, P, p.q)
     payload = _payload(
@@ -300,20 +318,25 @@ def _cmd_fs_bound(args, cfg: CliConfig) -> int:
 
 
 def _cmd_oracle(args, cfg: CliConfig) -> int:
+    _check_finite("mu", args.mu)
+    _check_finite("mu-imag", args.mu_imag)
     p = _class_params(args)
     P = _resolve_conic(args, p)
     params = {"which": args.which, "q": p.q, "k": p.k, "alpha": p.alpha,
               "mu": args.mu, "P1": P.P1, "P2": P.P2, "P3": P.P3}
-    if args.which == "h2":
-        grid = _oracle_grid(args)
-        result = ver.oracle_h2_max(P, p.q, grid)
-        params["grid"] = grid.to_json_dict()
-    else:
+    if args.which == "fs":
         if args.mu is None:
             raise CliError("--mu is required for the fs oracle")
         given = [f"--{flag}" for flag, _ in _GRID_FLAGS if getattr(args, flag) is not None]
         if given:
             raise CliError(f"--which fs takes no grid; {', '.join(given)} apply to the H2 scan only")
+    from . import verify as ver
+
+    if args.which == "h2":
+        grid = _oracle_grid(args)
+        result = ver.oracle_h2_max(P, p.q, grid)
+        params["grid"] = grid.to_json_dict()
+    else:
         result = ver.oracle_fs_max(complex(args.mu, args.mu_imag or 0.0), P, p.q)
     payload = _payload(
         params,
@@ -340,7 +363,10 @@ def _load_points(path: str) -> tuple[ClassParams, ...]:
         raise CliError(f"--points file is malformed: {exc}") from exc
 
 
-def _ledger_summary(report: ver.VerificationReport) -> str:
+def _ledger_summary(report) -> str:
+    """One line per record of a VerificationReport, then the violation count."""
+    from . import verify as ver
+
     lines = []
     for r in report.records:
         bound = "-" if r.bound is None else _fmt(r.bound)
@@ -355,6 +381,8 @@ def _ledger_summary(report: ver.VerificationReport) -> str:
 
 
 def _cmd_ledger(args, cfg: CliConfig) -> int:
+    from . import verify as ver
+
     points = _load_points(args.points) if args.points else ver.default_parameter_points()
     report = ver.run_ledger(
         points,

@@ -18,7 +18,9 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
+# numpy is imported inside the grid functions below only: the rest of this
+# module, and qcalc, conic and hankel above it, stay numpy-free at import, so
+# the closed-form CLI verbs start without loading it.
 
 DEFAULT_ORDER = 32
 
@@ -304,11 +306,15 @@ class DiskGrid:
 
     def mesh(self):
         """Complex ndarray of shape (len(radii), n_angles)."""
+        import numpy as np
+
         return np.asarray(self.radii)[:, None] * _roots_of_unity(self.n_angles)[None, :]
 
 
-def _roots_of_unity(n: int) -> np.ndarray:
+def _roots_of_unity(n: int):
     """e^(i t_j) at the grid angles t_j = 2 pi j / n, j = 0 .. n-1."""
+    import numpy as np
+
     return np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
 
 
@@ -323,12 +329,14 @@ def default_disk_grid() -> DiskGrid:
 
 
 @lru_cache(maxsize=32)
-def _phase_table(n_angles: int, order: int) -> np.ndarray:
+def _phase_table(n_angles: int, order: int):
     """Read-only (order + 1, n_angles) table of e^(i n t_j), t_j = 2 pi j / n_angles.
 
     Entry (n, j) is the root of unity number (n * j) mod n_angles, so every
     entry is one exp of an angle in [0, 2 pi), with no accumulated products.
     """
+    import numpy as np
+
     table = _roots_of_unity(n_angles)[np.outer(np.arange(order + 1), np.arange(n_angles)) % n_angles]
     table.flags.writeable = False
     return table
@@ -340,6 +348,8 @@ def evaluate_on_grid(f: TruncatedSeries, grid: DiskGrid):
     On the polar grid f(r_i e^(i t_j)) = sum_n (c_n r_i^n) e^(i n t_j): a
     (radii x order+1) radial matrix times the cached phase table.
     """
+    import numpy as np
+
     powers = np.arange(f.order + 1)
     radial = np.array(f.coeffs) * np.asarray(grid.radii)[:, None] ** powers
     return radial @ _phase_table(grid.n_angles, f.order)

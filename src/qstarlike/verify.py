@@ -442,8 +442,12 @@ def run_ledger(
     yield a single reconstructed-input-missing record instead of failing.
     distortion_members is accepted and unused: the distortion maxima are
     read off the extreme points.  It stays only because the benchmark's
-    ledger warm-up still passes it.
+    ledger warm-up still passes it.  tolerance must be finite and
+    nonnegative: NaN or inf would pass every slack, a negative value fail
+    exact agreement.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     grid = grid or OracleGrid()
     header = {
         "tool": "qstarlike",

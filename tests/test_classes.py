@@ -73,6 +73,16 @@ class TestThreshold:
                                         for n in range(2, order + 1)]
                 assert not phi.flags.writeable
 
+    @pytest.mark.filterwarnings("error")
+    def test_phi_table_overflow_is_worded(self):
+        # [1024]~_0.5 is about 9e307, so phi_1024 = 2 [1024]~_q - 1 overflows at k = 1
+        p = ClassParams(0.5, 1.0, 0.0)
+        assert np.isfinite(phi_table(p, 1023)).all()
+        with pytest.raises(OverflowError, match=r"phi_1024 .* at q=0\.5"):
+            phi_table(p, 1024)
+        with pytest.raises(OverflowError, match="phi_1024"):
+            extremal_function(3, p, order=1024)
+
 
 class TestSufficientCondition:
     def test_identity_function(self):

@@ -16,6 +16,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_one_error_line(out, err, *words):
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert all(word in lines[0] for word in words)
+
+
 def write_function(path, taylor, order=None):
     order = order or len(taylor)
     coeffs = list(taylor) + [0.0] * (order - len(taylor))
@@ -325,6 +332,36 @@ class TestOracleVerb:
             assert "refinement" in lines[0]
 
 
+class TestNonFiniteFlags:
+    # a NaN or inf used to reach the output ("value": NaN is not strict JSON)
+    # or an oracle (a numpy RuntimeWarning and "oracle max: nan")
+    @pytest.mark.parametrize("argv, flag", [
+        (("qnum", "--n", "nan", "--q", "0.5", "--format", "json"), "--n"),
+        (("qnum", "--n", "inf", "--q", "0.5"), "--n"),
+        (("qnum", "--n=-inf", "--q", "0.5"), "--n"),
+        (("qnum", "--n", "nan", "--q", "0.5", "--symmetric"), "--n"),
+        (("fs-bound", "--mu", "nan", "--q", "0.5", "--k", "0", "--alpha", "0"), "--mu"),
+        (("fs-bound", "--mu", "0.5", "--mu-imag", "inf", "--q", "0.5", "--k", "0",
+          "--alpha", "0"), "--mu-imag"),
+        (("oracle", "--which", "fs", "--mu", "inf", "--q", "0.5", "--k", "0",
+          "--alpha", "0"), "--mu"),
+        (("oracle", "--which", "fs", "--mu", "0", "--mu-imag", "nan", "--q", "0.5",
+          "--k", "0", "--alpha", "0"), "--mu-imag"),
+        (("oracle", "--which", "h2", "--mu", "nan", "--q", "1", "--k", "0",
+          "--alpha", "0"), "--mu"),
+    ])
+    def test_refused(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert_one_error_line(out, err, flag, "must be finite")
+
+    def test_phi_overflow_is_one_line_error(self, capsys):
+        code, out, err = run_cli(capsys, "extremal", "--n", "3", "--q", "0.5", "--k", "1",
+                                 "--alpha", "0", "--order", "1024")
+        assert code == EXIT_ERROR
+        assert_one_error_line(out, err, "phi_1024", "overflows")
+
+
 class TestLedgerVerb:
     def test_single_point_with_reports(self, capsys, tmp_path):
         points = tmp_path / "points.json"
@@ -361,6 +398,18 @@ class TestLedgerVerb:
         code, out, _ = run_cli(capsys, *base, "--out", str(out_path))
         assert code == EXIT_FINDINGS and out == ""
         assert out_path.read_bytes() == report.read_bytes()
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_bad_tolerance_is_usage_error(self, capsys, tmp_path, tolerance):
+        # NaN and inf used to pass every slack (exit 0), -1 to fail 11 of 13 records
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps([{"q": 1.0, "k": 0.0, "alpha": 0.0}]))
+        base = ("ledger", "--points", str(points), "--nB", "11", "--nRho", "8", "--refine", "0")
+        code, out, _ = run_cli(capsys, *base)
+        assert code == EXIT_FINDINGS and "1 violated" in out
+        code, out, err = run_cli(capsys, *base, f"--tolerance={tolerance}")
+        assert code == EXIT_ERROR
+        assert_one_error_line(out, err, "tolerance")
 
     def test_malformed_points_file(self, capsys, tmp_path):
         points = tmp_path / "points.json"
@@ -401,6 +450,40 @@ class TestEntryPoint:
         assert code == EXIT_ERROR
         assert out == ""
         assert err == f"error: the following arguments are required: {missing}\n"
+
+    @pytest.mark.parametrize("argv, code, numpy_loaded", [
+        (("--version",), EXIT_OK, False),
+        (("qnum", "--n", "3", "--q", "0.5", "--symmetric", "--format", "json"), EXIT_OK, False),
+        (("deriv", "--in", "{f}", "--q", "0.5", "--symmetric"), EXIT_OK, False),
+        (("hankel-bound", "--q", "0.5", "--k", "1", "--alpha", "0"), EXIT_OK, False),
+        (("fs-bound", "--mu", "0.5", "--q", "0.8", "--k", "0", "--alpha", "0"), EXIT_OK, False),
+        (("distortion", "--r", "1.5", "--q", "0.5", "--k", "0", "--alpha", "0"),
+         EXIT_ERROR, False),
+        (("extremal", "--n", "0", "--q", "0.5", "--k", "0", "--alpha", "0"), EXIT_ERROR, False),
+        (("qnum", "--n", "nan", "--q", "0.5"), EXIT_ERROR, False),
+        # the sampled membership test evaluates on a numpy grid; this case keeps
+        # the probe from passing by never reporting numpy at all
+        (("member", "--in", "{f}", "--q", "0.5", "--k", "0", "--alpha", "0"), EXIT_OK, True),
+    ], ids=["version", "qnum", "deriv", "hankel-bound", "fs-bound", "bad-radius",
+            "bad-extremal-index", "nan-n", "member"])
+    def test_closed_form_verbs_do_not_load_numpy(self, tmp_path, argv, code, numpy_loaded):
+        fpath = write_function(tmp_path / "f.json", [1.0, 0.01])
+        probe = (
+            "import contextlib, io, json, sys\n"
+            "from qstarlike import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            "        code = cli.main(json.loads(sys.argv[1]))\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "print(json.dumps([code, 'numpy' in sys.modules]))\n"
+        )
+        argv = [a.format(f=fpath) for a in argv]
+        proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [code, numpy_loaded]
 
     def test_unknown_flag_is_usage_error(self):
         proc = subprocess.run(

@@ -291,6 +291,12 @@ class TestLedger:
         assert report.records == ()
         assert not report.has_violations
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1.0])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            run_ledger([ClassParams(1.0, 0.0, 0.0)], grid=SMALL, tolerance=tolerance)
+        assert run_ledger([], grid=SMALL, tolerance=0.0).records == ()
+
     def test_default_points_shape(self):
         points = default_parameter_points()
         assert len(points) == 12
