@@ -90,19 +90,31 @@ class DecompositionWeights:
     lambdas: tuple[float, ...]
 
     def __post_init__(self):
-        lams = tuple(map(float, self.lambdas))
-        if not lams:
-            raise ValueError("weight vector is empty")
-        lowest = min(lams)
+        lams = np.array([tuple(map(float, self.lambdas))])
+        object.__setattr__(self, "lambdas", tuple(convex_weight_rows(lams)[0].tolist()))
+
+
+def convex_weight_rows(lams: np.ndarray) -> np.ndarray:
+    """Validated copy of an (R, N) array whose rows are convex weight vectors.
+
+    Row by row, as DecompositionWeights (the one-row case) checks: each
+    row must be nonempty, nonnegative up to 1e-12 and sum to 1 within
+    1e-12, the sum correctly rounded; weights slightly below 0 are
+    clamped to 0.
+    """
+    if lams.shape[1] == 0:
+        raise ValueError("weight vector is empty")
+    clamp = False
+    for row in lams.tolist():
+        lowest = min(row)
         if lowest < -1e-12:
             raise ValueError("weights must be nonnegative")
-        total = math.fsum(lams)
+        total = math.fsum(row)
         # Written so that a NaN weight, which min() may pass over, fails here.
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weights must sum to 1, got {total!r}")
-        if lowest < 0.0:
-            lams = tuple(max(0.0, v) for v in lams)
-        object.__setattr__(self, "lambdas", lams)
+        clamp = clamp or lowest < 0.0
+    return np.where(lams < 0.0, 0.0, lams) if clamp else lams.copy()
 
 
 def threshold_denominator(n: int, p: ClassParams) -> float:
@@ -154,19 +166,28 @@ def sufficient_membership(f: TruncatedSeries, p: ClassParams) -> MembershipVerdi
 def t_form_magnitudes(f: TruncatedSeries) -> np.ndarray:
     """(|a2|, |a3|, ...) for f = z - a2 z^2 - ...; raises TFormError otherwise.
 
-    Each coefficient must be real and nonpositive up to T_FORM_ZERO_TOL;
-    the magnitudes returned are exact, however small.
+    The one-row case of t_form_rows.
     """
     require_normalized(f, "the negative-coefficient form")
-    tail = np.array(f.coeffs[2:], dtype=complex)
-    bad = (np.abs(tail.imag) > T_FORM_ZERO_TOL) | (tail.real > T_FORM_ZERO_TOL)
+    return t_form_rows(np.array([f.coeffs[2:]], dtype=complex))[0]
+
+
+def t_form_rows(tails: np.ndarray) -> np.ndarray:
+    """|tails| for an (R, order - 1) array of tails (a2, a3, ...); raises TFormError.
+
+    Each coefficient must be finite, real and nonpositive up to
+    T_FORM_ZERO_TOL; the magnitudes returned are exact, however small.
+    The error names the first offending coefficient in row-major order.
+    """
+    bad = (np.abs(tails.imag) > T_FORM_ZERO_TOL) | (tails.real > T_FORM_ZERO_TOL)
+    bad |= ~np.isfinite(tails)
     if bad.any():
-        n = int(np.argmax(bad)) + 2
+        row, col = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise TFormError(
-            f"coefficient of z^{n} is {f.coeffs[n]!r}; the negative-coefficient form needs "
-            "real, nonpositive values there"
+            f"coefficient of z^{col + 2} is {complex(tails[row, col])!r}; the "
+            "negative-coefficient form needs finite, real, nonpositive values there"
         )
-    return np.abs(tail)
+    return np.abs(tails)
 
 
 def ts_membership(f: TruncatedSeries, p: ClassParams) -> MembershipVerdict:
@@ -202,15 +223,15 @@ def sampled_membership(
     require_normalized(f, "membership sampling")
     if grid is None:
         grid = default_disk_grid()
-    f_vals = ser.evaluate_on_grid(f, grid)
+    numerator = ser.shift_up(symmetric_q_derivative(f, p.q))  # order f.order, like f
+    f_vals, num_vals = ser.evaluate_rows_on_grid([f.coeffs, numerator.coeffs], grid)
     tiny = np.abs(f_vals) < 1e-12
     if tiny.any():
         i, j = map(int, np.argwhere(tiny)[0])
         return MembershipVerdict(
             CERTIFIED_NOT_MEMBER_WITNESS, margin=-math.inf, witness=complex(grid.mesh()[i, j])
         )
-    numerator = ser.shift_up(symmetric_q_derivative(f, p.q))
-    w_vals = ser.evaluate_on_grid(numerator, grid) / f_vals
+    w_vals = num_vals / f_vals
     margins = w_vals.real - p.k * np.abs(w_vals - 1.0) - p.alpha
     failing = margins <= 0.0
     if failing.any():
@@ -279,30 +300,61 @@ def distortion_equality_function(p: ClassParams, order: int = DEFAULT_ORDER) -> 
 
 
 def extreme_point_decompose(f: TruncatedSeries, p: ClassParams) -> DecompositionWeights:
-    """Weights lambda_n = phi_n |a_n| / (1-alpha), lambda_1 = 1 - sum(rest)."""
-    lams = phi_table(p, f.order) * t_form_magnitudes(f) / (1.0 - p.alpha)
-    lam1 = 1.0 - math.fsum(lams)
-    if lam1 < -1e-12:
-        raise DecompositionError(
-            f"not in the class (coefficient sum exceeds the budget by {-lam1:.3e}); "
-            "no convex decomposition over the extreme points exists"
-        )
-    return DecompositionWeights((max(0.0, lam1), *lams.tolist()))
+    """Weights lambda_n = phi_n |a_n| / (1-alpha), lambda_1 = 1 - sum(rest).
+
+    The one-row case of decompose_rows.
+    """
+    return DecompositionWeights(tuple(decompose_rows(t_form_magnitudes(f)[None], p)[0].tolist()))
+
+
+def decompose_rows(magnitudes: np.ndarray, p: ClassParams) -> np.ndarray:
+    """(R, order) weight rows for an (R, order - 1) array of t-form magnitudes |a_n|.
+
+    Raises DecompositionError for the first row whose weighted sum
+    exceeds the budget 1 - alpha by more than 1e-12.  The rows are not
+    yet validated as convex weights (convex_weight_rows does that).
+    """
+    lams = phi_table(p, magnitudes.shape[1] + 1) * magnitudes / (1.0 - p.alpha)
+    out = np.empty((lams.shape[0], lams.shape[1] + 1))
+    out[:, 1:] = lams
+    for i, row in enumerate(lams.tolist()):
+        lam1 = 1.0 - math.fsum(row)
+        if lam1 < -1e-12:
+            raise DecompositionError(
+                f"not in the class (coefficient sum exceeds the budget by {-lam1:.3e}); "
+                "no convex decomposition over the extreme points exists"
+            )
+        out[i, 0] = max(0.0, lam1)
+    return out
 
 
 def extreme_point_compose(
     w: DecompositionWeights, p: ClassParams, order: int | None = None
 ) -> TruncatedSeries:
-    """The convex combination sum(lambda_n f_n); always a class member."""
+    """The convex combination sum(lambda_n f_n); always a class member.
+
+    The one-row case of compose_rows.
+    """
     n_max = len(w.lambdas)
     if order is None:
         order = max(DEFAULT_ORDER, n_max)
     if order < n_max:
         raise ValueError(f"order {order} is below the number of weights {n_max}")
-    taylor = np.zeros(order, dtype=complex)
-    taylor[0] = 1.0
-    taylor[1:n_max] = -np.array(w.lambdas[1:]) * ((1.0 - p.alpha) / phi_table(p, n_max))
+    taylor = compose_rows(np.array([w.lambdas]), p, order)[0]
     return TruncatedSeries.from_taylor(taylor.tolist(), order=order)
+
+
+def compose_rows(lams: np.ndarray, p: ClassParams, order: int) -> np.ndarray:
+    """(R, order) Taylor rows (a1, ..., a_order) of sum(lambda_n f_n), one per weight row.
+
+    lams is an (R, N) array of convex weights, N <= order, already
+    validated by convex_weight_rows; a_n = -lambda_n (1 - alpha) / phi_n.
+    """
+    n_max = lams.shape[1]
+    taylor = np.zeros((lams.shape[0], order), dtype=complex)
+    taylor[:, 0] = 1.0
+    taylor[:, 1:n_max] = -lams[:, 1:] * ((1.0 - p.alpha) / phi_table(p, n_max))
+    return taylor
 
 
 def random_certified_member(

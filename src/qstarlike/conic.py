@@ -71,6 +71,9 @@ class ConicCoefficients:
     provenance: str = PROVENANCE_USER
 
     def __post_init__(self):
+        for name in ("P1", "P2", "P3"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.P1 > 0.0:
             raise ValueError(f"P1 must be positive, got {self.P1}")
         if self.P2 < 0.0 or self.P3 < 0.0:

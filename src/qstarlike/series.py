@@ -342,17 +342,39 @@ def _phase_table(n_angles: int, order: int):
     return table
 
 
-def evaluate_on_grid(f: TruncatedSeries, grid: DiskGrid):
-    """Vectorized evaluate() over a DiskGrid; returns (R, A) complex array.
+@lru_cache(maxsize=32)
+def _radial_table(radii: tuple[float, ...], order: int):
+    """Read-only (len(radii), order + 1) table of r_i^n."""
+    import numpy as np
 
-    On the polar grid f(r_i e^(i t_j)) = sum_n (c_n r_i^n) e^(i n t_j): a
-    (radii x order+1) radial matrix times the cached phase table.
+    table = np.asarray(radii)[:, None] ** np.arange(order + 1)
+    table.flags.writeable = False
+    return table
+
+
+def evaluate_rows_on_grid(coeff_rows, grid: DiskGrid):
+    """Values of S series of one order on a DiskGrid; returns an (S, R, A) complex array.
+
+    coeff_rows is an (S, order + 1) array of coefficients c0 .. cN.  On the
+    polar grid f(r_i e^(i t_j)) = sum_n (c_n r_i^n) e^(i n t_j): the S
+    stacked (radii x order+1) radial matrices times the cached phase table,
+    one matrix product for all S series.
     """
     import numpy as np
 
-    powers = np.arange(f.order + 1)
-    radial = np.array(f.coeffs) * np.asarray(grid.radii)[:, None] ** powers
-    return radial @ _phase_table(grid.n_angles, f.order)
+    coeff_rows = np.asarray(coeff_rows, dtype=complex)
+    count, width = coeff_rows.shape
+    radial = coeff_rows[:, None, :] * _radial_table(grid.radii, width - 1)
+    values = radial.reshape(-1, width) @ _phase_table(grid.n_angles, width - 1)
+    return values.reshape(count, len(grid.radii), grid.n_angles)
+
+
+def evaluate_on_grid(f: TruncatedSeries, grid: DiskGrid):
+    """Vectorized evaluate() over a DiskGrid; returns (R, A) complex array.
+
+    The one-series case of evaluate_rows_on_grid.
+    """
+    return evaluate_rows_on_grid([f.coeffs], grid)[0]
 
 
 # --- function files ---------------------------------------------------------

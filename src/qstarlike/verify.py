@@ -48,15 +48,16 @@ import numpy as np
 from . import __version__
 from .classes import (
     coefficient_threshold,
+    compose_rows,
+    convex_weight_rows,
+    decompose_rows,
     derivative_distortion_bounds,
     distortion_bounds,
     extremal_function,
-    extreme_point_compose,
-    extreme_point_decompose,
     phi_table,
     random_certified_member,
     sampled_membership,
-    DecompositionWeights,
+    t_form_rows,
     CERTIFIED_NOT_MEMBER_WITNESS,
 )
 from .conic import ClassParams, ConicCoefficients, UnsupportedConicRegimeError, conic_coefficients
@@ -165,13 +166,19 @@ def _unit_ratio(c0, c1) -> complex:
     return (c0 / abs(c0)) / (c1 / abs(c1))
 
 
+def _checked_b2_b3(b, x):
+    """(B2, B3 at zeta = 0, |d B3 / d zeta|), elementwise, once |B2|, |B3| <= 2 for every zeta."""
+    gap = 4.0 - b * b
+    b2, b3 = caratheodory_b2_b3(b, x, 0.0)
+    zeta_term = gap * (1.0 - np.abs(x) ** 2) / 2.0
+    _check_caratheodory(b2, np.abs(b3) + zeta_term)
+    return b2, b3, zeta_term
+
+
 def _h2_parts(consts, b, x):
     """(u, v) with a2 a4 - a3^2 = u + v zeta, elementwise in real b and complex x."""
     P1, P2, P3, q2, q3, q4 = consts
-    gap = 4.0 - b * b
-    b2, b3 = caratheodory_b2_b3(b, x, 0.0)
-    zeta_term = gap * (1.0 - np.abs(x) ** 2) / 2.0  # |d B3 / d zeta|
-    _check_caratheodory(b2, np.abs(b3) + zeta_term)
+    b2, b3, zeta_term = _checked_b2_b3(b, x)
     a2, a3, a4 = schwarz_to_coefficients(P1, P2, P3, q2, q3, q4, b, b2, b3)
     return a2 * a4 - a3 * a3, a2 * P1 * zeta_term / (2.0 * q4)
 
@@ -210,10 +217,14 @@ def _h2_cells(consts, b_vals, rho_vals):
     cos = np.stack([np.ones_like(C), np.clip(vertex, -1.0, 1.0), -np.ones_like(C)])
     e = cos + 1j * np.sqrt(1.0 - cos * cos)  # e^{i arg x}, arg x in [0, pi]
     u_abs = np.abs(al + lin * e + quad * e * e)
-    # every candidate x must be a genuine Caratheodory point; v is shared
-    _, v = _h2_parts(consts, b_vals[:, None], rho_vals * e)
+    # every candidate x must be a genuine Caratheodory point
+    _, _, zeta_term = _checked_b2_b3(b_vals[:, None], rho_vals * e)
+    # v = a2 P1 zeta_term / (2 q4) needs a2 = P1 B1 / (2 q2) alone, and zeta_term
+    # at the c = 1 candidate, where x = |x| exactly
+    P1, q2, q4 = consts[0], consts[3], consts[5]
+    v = (P1 * b_vals / (2.0 * q2))[:, None] * P1 * zeta_term[0] / (2.0 * q4)
     pick = np.argmax(u_abs, axis=0)[None]  # ties keep c = 1, then the vertex
-    return u_abs.max(axis=0) + np.abs(v[0]), np.take_along_axis(cos, pick, 0)[0]
+    return u_abs.max(axis=0) + np.abs(v), np.take_along_axis(cos, pick, 0)[0]
 
 
 def _refined_axis(center: float, spacing: float, lo: float, hi: float) -> np.ndarray:
@@ -397,17 +408,18 @@ def _distortion_oracles(p: ClassParams, radius: float):
 
 
 def _roundtrip_oracle(p: ClassParams, rng, n_weights: int = 64) -> float:
-    worst = 0.0
-    for _ in range(n_weights):
-        raw = rng.random(12)
-        lams = raw / raw.sum()
-        w = DecompositionWeights(tuple(lams))
-        back = extreme_point_decompose(extreme_point_compose(w, p), p)
-        padded = np.zeros(max(len(w.lambdas), len(back.lambdas)))
-        padded[: len(back.lambdas)] = back.lambdas
-        padded[: len(w.lambdas)] -= w.lambdas
-        worst = max(worst, float(np.abs(padded).max()))
-    return worst
+    """Largest weight error of compose -> decompose over random 12-term convex combinations.
+
+    All n_weights rows go through the row kernels behind
+    extreme_point_compose and extreme_point_decompose in one pass, with
+    every check of the public functions.
+    """
+    raw = rng.random((n_weights, 12))
+    lams = convex_weight_rows(raw / raw.sum(axis=1, keepdims=True))
+    taylor = compose_rows(lams, p, DEFAULT_ORDER)
+    back = convex_weight_rows(decompose_rows(t_form_rows(taylor[:, 1:]), p))
+    back[:, : lams.shape[1]] -= lams
+    return float(np.abs(back).max(initial=0.0))
 
 
 def _sufficiency_oracle(p: ClassParams, rng, n_members: int = 20) -> float:

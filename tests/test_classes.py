@@ -13,6 +13,8 @@ from qstarlike.classes import (
     DecompositionWeights,
     TFormError,
     coefficient_threshold,
+    convex_weight_rows,
+    decompose_rows,
     derivative_distortion_bounds,
     distortion_bounds,
     distortion_coefficient,
@@ -25,14 +27,21 @@ from qstarlike.classes import (
     sampled_membership,
     sufficient_condition_margin,
     sufficient_membership,
+    t_form_magnitudes,
+    t_form_rows,
     ts_membership,
 )
 from qstarlike.conic import ClassParams
+from qstarlike.qcalc import symmetric_q_derivative
 from qstarlike.series import (
     DiskGrid,
     TruncatedSeries,
     default_disk_grid,
+    evaluate_on_grid,
+    evaluate_rows_on_grid,
+    shift_up,
 )
+from qstarlike.verify import default_parameter_points
 
 P_HALF = ClassParams(q=0.5, k=1.0, alpha=0.0)
 P_CLASSICAL = ClassParams(q=1.0, k=0.0, alpha=0.0)
@@ -380,6 +389,79 @@ class TestExtremePoints:
         with pytest.raises(ValueError, match="order 2 is below the number of weights 3"):
             extreme_point_compose(w, P_HALF, order=2)
         assert extreme_point_compose(w, P_HALF, order=3).order == 3
+
+
+def _refusal(fn, *args):
+    """(exception type, message) that fn(*args) raises."""
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestRowKernels:
+    """The row kernels refuse exactly what their one-row public functions refuse."""
+
+    @pytest.mark.parametrize("lams", [
+        (math.nan, 1.0), (1.0, math.nan), (0.5, 0.4), (1.5, -0.5), (math.nan, 1.5, -0.5),
+    ])
+    def test_weight_refusals(self, lams):
+        want = _refusal(DecompositionWeights, lams)
+        assert _refusal(convex_weight_rows, np.array([lams])) == want
+        # a valid row before the bad one does not hide it
+        rows = np.array([(1.0,) + (0.0,) * (len(lams) - 1), lams])
+        assert _refusal(convex_weight_rows, rows) == want
+
+    def test_weight_clamp(self):
+        lams = (1.0 + 1e-13, -1e-13)
+        got = convex_weight_rows(np.array([lams, (0.25, 0.75)]))
+        assert got.tolist() == [list(DecompositionWeights(lams).lambdas), [0.25, 0.75]]
+
+    @pytest.mark.parametrize("n, value", [(2, -0.01 + 1e-3j), (5, 1e-3), (7, 2e-14)])
+    def test_t_form_refusals_name_the_first_bad_n(self, n, value):
+        taylor = [1.0] + [-1e-4] * 15
+        taylor[n - 1] = value
+        taylor[n + 2] = 0.5  # a later bad coefficient is not the one named
+        f = member(*taylor, order=16)
+        want = _refusal(t_form_magnitudes, f)
+        assert want[0] is TFormError and f"z^{n} " in want[1]
+        assert _refusal(t_form_rows, np.array([f.coeffs[2:]])) == want
+        good = np.full((1, 15), -1e-4 + 0j)
+        assert _refusal(t_form_rows, np.vstack([good, [f.coeffs[2:]]])) == want
+
+    @pytest.mark.parametrize("value", [complex(math.nan, 0.0), complex(-math.inf, 0.0)])
+    def test_t_form_rows_refuse_non_finite(self, value):
+        # a series cannot hold these; the array kernel refuses them itself
+        tails = np.full((1, 7), -1e-4 + 0j)
+        tails[0, 3] = value
+        with pytest.raises(TFormError, match="z\\^5 "):
+            t_form_rows(tails)
+
+    def test_budget_overrun(self):
+        f = member(1.0, -1.5 * coefficient_threshold(2, P_HALF))
+        want = _refusal(extreme_point_decompose, f, P_HALF)
+        assert want[0] is DecompositionError
+        assert _refusal(decompose_rows, t_form_rows(np.array([f.coeffs[2:]])), P_HALF) == want
+
+    def test_public_functions_are_the_one_row_case(self):
+        rng = np.random.default_rng(11)
+        p = ClassParams(0.8, 1.0, 0.25)
+        members = [random_certified_member(p, rng, order=16) for _ in range(5)]
+        tails = np.array([f.coeffs[2:] for f in members])
+        rows = convex_weight_rows(decompose_rows(t_form_rows(tails), p))
+        for f, row in zip(members, rows):
+            assert extreme_point_decompose(f, p).lambdas == tuple(row.tolist())
+
+
+class TestGridProduct:
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_one_product_matches_two_evaluations(self, seed):
+        grid = default_disk_grid()
+        for index, p in enumerate(default_parameter_points()):
+            f = random_certified_member(p, np.random.default_rng([seed, index]))
+            numerator = shift_up(symmetric_q_derivative(f, p.q))
+            f_vals, num_vals = evaluate_rows_on_grid([f.coeffs, numerator.coeffs], grid)
+            assert np.array_equal(f_vals, evaluate_on_grid(f, grid))
+            assert np.array_equal(num_vals, evaluate_on_grid(numerator, grid))
 
 
 class TestRandomMember:

@@ -355,6 +355,34 @@ class TestNonFiniteFlags:
         assert code == EXIT_ERROR
         assert_one_error_line(out, err, flag, "must be finite")
 
+    # P1 = inf used to be written as "P1": Infinity, P2 = nan as "<= nan", both exit 0
+    @pytest.mark.parametrize("argv, name", [
+        (("hankel-bound", "--q", "1", "--k", "2", "--alpha", "0", "--P1", "inf",
+          "--P2", "1", "--P3", "1", "--format", "json"), "P1"),
+        (("fs-bound", "--mu", "0.5", "--q", "1", "--k", "2", "--alpha", "0", "--P1", "1",
+          "--P2", "nan", "--P3", "1"), "P2"),
+        (("hankel-bound", "--q", "1", "--k", "2", "--alpha", "0", "--P1", "1",
+          "--P2", "1", "--P3=-inf"), "P3"),
+        (("oracle", "--which", "h2", "--q", "1", "--k", "2", "--alpha", "0", "--P1", "nan",
+          "--P2", "1", "--P3", "1", "--nB", "8", "--nRho", "8"), "P1"),
+    ])
+    def test_non_finite_conic_flags_refused(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert_one_error_line(out, err, name, "must be finite")
+
+    @pytest.mark.parametrize("verb", [
+        ("hankel-bound", "--q", "1", "--k", "2", "--alpha", "0"),
+        ("fs-bound", "--mu", "0.5", "--q", "1", "--k", "2", "--alpha", "0"),
+        ("ledger", "--format", "json"),
+    ])
+    def test_non_finite_conic_file_refused(self, capsys, tmp_path, verb):
+        conic = tmp_path / "p.json"
+        conic.write_text('{"P": [1e400, 1.0, 1.0]}')  # json loads 1e400 as inf
+        code, out, err = run_cli(capsys, *verb, "--conic", str(conic))
+        assert code == EXIT_ERROR
+        assert_one_error_line(out, err, "P1", "must be finite")
+
     def test_phi_overflow_is_one_line_error(self, capsys):
         code, out, err = run_cli(capsys, "extremal", "--n", "3", "--q", "0.5", "--k", "1",
                                  "--alpha", "0", "--order", "1024")

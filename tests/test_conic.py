@@ -124,6 +124,19 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             ConicCoefficients(1.0, -0.1, 1.0)
 
+    @pytest.mark.parametrize("values, name", [
+        ((math.inf, 1.0, 1.0), "P1"),
+        ((math.nan, 1.0, 1.0), "P1"),
+        ((1.0, math.nan, 1.0), "P2"),
+        ((1.0, math.inf, 1.0), "P2"),
+        ((1.0, 1.0, math.nan), "P3"),
+        ((1.0, 1.0, math.inf), "P3"),
+    ])
+    def test_non_finite_coefficients_refused(self, values, name):
+        # P1 > 0 passes inf and P2 < 0 passes NaN, so finiteness is its own check
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ConicCoefficients(*values)
+
 
 class TestMapSendsDiskIntoDomain:
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5])

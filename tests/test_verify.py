@@ -5,6 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from qstarlike import verify
+from qstarlike.classes import (
+    DecompositionWeights,
+    extreme_point_compose,
+    extreme_point_decompose,
+)
 from qstarlike.conic import ClassParams, ConicCoefficients, conic_coefficients
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +37,8 @@ from qstarlike.verify import (
     _fs_parts,
     _h2_cells,
     _h2_parts,
+    _resolve_constants,
+    _roundtrip_oracle,
     default_parameter_points,
     oracle_fs_max,
     oracle_h2_max,
@@ -419,3 +427,72 @@ class TestDistortionOracle:
             assert np.abs(coeffs @ powers).max() <= f_max * (1.0 + 1e-12)
             deriv = coeffs[:, 1:] * np.arange(1, 33)
             assert np.abs(deriv @ powers[:-1]).max() <= df_max * (1.0 + 1e-12)
+
+
+def _roundtrip_per_weight(p, rng, n_weights=64):
+    """The roundtrip oracle as a loop over the public functions, one weight vector at a time."""
+    worst = 0.0
+    for _ in range(n_weights):
+        raw = rng.random(12)
+        w = DecompositionWeights(tuple(raw / raw.sum()))
+        back = extreme_point_decompose(extreme_point_compose(w, p), p)
+        padded = np.zeros(max(len(w.lambdas), len(back.lambdas)))
+        padded[: len(back.lambdas)] = back.lambdas
+        padded[: len(w.lambdas)] -= w.lambdas
+        worst = max(worst, float(np.abs(padded).max()))
+    return worst
+
+
+def _h2_cells_3d(consts, b_vals, rho_vals):
+    """_h2_cells with v taken from _h2_parts over the whole (3, nB, nRho) candidate array."""
+    u0, u_pos, u_neg = (_h2_parts(consts, b_vals, x)[0].real for x in (0.0, 1.0, -1.0))
+    al = u0[:, None]
+    lin = ((u_pos - u_neg) / 2.0)[:, None] * rho_vals
+    quad = ((u_pos + u_neg) / 2.0 - u0)[:, None] * rho_vals**2
+    B = 2.0 * lin * (al + quad)
+    C = 4.0 * al * quad
+    vertex = np.ones_like(C)
+    np.divide(-B, 2.0 * C, out=vertex, where=C < 0.0)
+    cos = np.stack([np.ones_like(C), np.clip(vertex, -1.0, 1.0), -np.ones_like(C)])
+    e = cos + 1j * np.sqrt(1.0 - cos * cos)
+    u_abs = np.abs(al + lin * e + quad * e * e)
+    _, v = _h2_parts(consts, b_vals[:, None], rho_vals * e)
+    pick = np.argmax(u_abs, axis=0)[None]
+    return u_abs.max(axis=0) + np.abs(v[0]), np.take_along_axis(cos, pick, 0)[0]
+
+
+class TestWholeArrayOracles:
+    """The array-shaped oracles give bit-for-bit what their per-item forms give."""
+
+    @pytest.mark.parametrize("seed", [20260808, 1])
+    def test_roundtrip_matches_per_weight_loop(self, seed):
+        for index, p in enumerate(default_parameter_points()):
+            child, _ = np.random.SeedSequence([seed, index]).spawn(2)
+            got = _roundtrip_oracle(p, np.random.default_rng(child))
+            assert got == _roundtrip_per_weight(p, np.random.default_rng(child))
+
+    def test_h2_cells_match_candidate_array_evaluation(self):
+        grid = OracleGrid()
+        b_vals, rho_vals = np.linspace(0.0, 2.0, grid.nB), np.linspace(0.0, 1.0, grid.nRho)
+        for p in default_parameter_points():
+            consts = _resolve_constants(conic_coefficients(p.k, p.alpha), p.q)
+            vals, cos = _h2_cells(consts, b_vals, rho_vals)
+            want_vals, want_cos = _h2_cells_3d(consts, b_vals, rho_vals)
+            assert np.array_equal(vals, want_vals)
+            assert np.array_equal(cos, want_cos)
+
+    @pytest.mark.parametrize("candidate", [(0, 0, 0), (1, 8, 4), (2, -1, -1)])
+    def test_guard_sees_every_candidate(self, monkeypatch, candidate):
+        # B2 beyond 2 at one arg-x candidate of one cell must abort the scan
+        real = verify.caratheodory_b2_b3
+
+        def broken(b1, x, zeta):
+            b2, b3 = real(b1, x, zeta)
+            if np.ndim(x) == 3:  # the candidate array, not the x = 0, +-1 probes
+                b2 = b2.copy()
+                b2[candidate] = 2.5
+            return b2, b3
+
+        monkeypatch.setattr(verify, "caratheodory_b2_b3", broken)
+        with pytest.raises(OracleSoundnessError, match="B2"):
+            oracle_h2_max(P00, 1.0, SMALL)
