@@ -158,19 +158,6 @@ def _resolve_conic(args, p: ClassParams) -> ConicCoefficients:
     return conic_coefficients(p.k, p.alpha)
 
 
-# (flag without "--", OracleGrid field) of the H2 scan's grid flags
-_GRID_FLAGS = (("nB", "nB"), ("nRho", "nRho"), ("refine", "refinement"))
-
-
-def _oracle_grid(args):
-    """The H2 scan's OracleGrid; flags left unset keep its defaults."""
-    from . import verify as ver
-
-    given = {field: getattr(args, flag) for flag, field in _GRID_FLAGS
-             if getattr(args, flag) is not None}
-    return ver.OracleGrid(**given)
-
-
 # --- subcommand handlers -----------------------------------------------------
 
 
@@ -327,23 +314,13 @@ def _cmd_oracle(args, cfg: CliConfig) -> int:
     if args.which == "fs":
         if args.mu is None:
             raise CliError("--mu is required for the fs oracle")
-        given = [f"--{flag}" for flag, _ in _GRID_FLAGS if getattr(args, flag) is not None]
-        if given:
-            raise CliError(f"--which fs takes no grid; {', '.join(given)} apply to the H2 scan only")
     from . import verify as ver
 
     if args.which == "h2":
-        grid = _oracle_grid(args)
-        result = ver.oracle_h2_max(P, p.q, grid)
-        params["grid"] = grid.to_json_dict()
+        result = ver.oracle_h2_max(P, p.q)
     else:
         result = ver.oracle_fs_max(complex(args.mu, args.mu_imag or 0.0), P, p.q)
-    payload = _payload(
-        params,
-        max=result.value,
-        argmax=result.argmax_json(),
-        levels=list(result.level_values),
-    )
+    payload = _payload(params, max=result.value, argmax=result.argmax_json())
     _emit(payload, [f"oracle max: {_fmt(result.value)}",
                     f"argmax B1: {_fmt(result.argmax.B1)}"], cfg)
     return EXIT_OK
@@ -386,7 +363,6 @@ def _cmd_ledger(args, cfg: CliConfig) -> int:
     points = _load_points(args.points) if args.points else ver.default_parameter_points()
     report = ver.run_ledger(
         points,
-        grid=_oracle_grid(args),
         user_conic=_user_conic(args),
         tolerance=args.tolerance,
     )
@@ -447,16 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--k", type=float, required=True)
         sp.add_argument("--alpha", type=float, required=True)
 
-    def grid_flags(sp):
-        # the Fekete-Szego oracle is exact in B1 and x, takes no grid and refuses these;
-        # None means unset, so the defaults live in OracleGrid alone
-        sp.add_argument("--nB", type=int, default=None,
-                        help="B1 samples of the H2 scan (default 101)")
-        sp.add_argument("--nRho", type=int, default=None,
-                        help="|x| samples of the H2 scan (default 41)")
-        sp.add_argument("--refine", type=int, default=None,
-                        help="local 8x refinement passes of the H2 scan (default 2, at most 20)")
-
     sp = sub.add_parser("qnum", help="evaluate a q-number or symmetric q-number")
     sp.add_argument("--n", type=float, required=True)
     sp.add_argument("--q", type=float, required=True)
@@ -503,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu", type=float, default=None)
     sp.add_argument("--mu-imag", type=float, default=None)
     class_flags(sp)
-    grid_flags(sp)
     common(sp, conic=True)
 
     sp = sub.add_parser("ledger", help="run the bound-verification ledger")
@@ -511,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tolerance", type=float, default=1e-6)
     sp.add_argument("--json-out", default=None, help="write the JSON report here")
     sp.add_argument("--csv-out", default=None, help="write the CSV report here")
-    grid_flags(sp)
     common(sp, conic=True)
 
     return parser
@@ -530,10 +494,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return dispatch(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError, KeyError, OverflowError) as exc:
+    except (ValueError, OSError, KeyError, OverflowError) as exc:  # CliError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -44,6 +44,11 @@ from .series import NormalizationError, TruncatedSeries
 # swamp everything else at moderate n; computation proceeds, the CLI warns.
 Q_CONDITIONING_FLOOR = 1e-3
 
+# The power sum takes n terms in a Python loop, and near q = 1 nothing
+# overflows to end it, so larger n are refused before summing; the cap
+# itself sums in about 0.2 s.  phi_table needs n up to 1025.
+MAX_SYMMETRIC_N = 2**20
+
 
 def validate_q(q: float) -> float:
     q = float(q)
@@ -76,12 +81,17 @@ def _symmetric_q_number_any(n: int, q: float) -> float:
     """Power-sum form of [n]~_q, valid for any q > 0 (no range check).
 
     Exposed separately so the q <-> 1/q symmetry can be exercised outside
-    the operating range (0, 1].
+    the operating range (0, 1].  At q = 1 it is n, exactly, for any n >= 1;
+    otherwise n may not exceed MAX_SYMMETRIC_N.
     """
     if n < 1:
         raise ValueError(f"symmetric q-number needs n >= 1, got {n}")
     if q <= 0.0:
         raise ValueError(f"q must be positive, got {q}")
+    if q == 1.0:
+        return float(n)
+    if n > MAX_SYMMETRIC_N:
+        raise ValueError(f"symmetric q-number needs n <= {MAX_SYMMETRIC_N} at q != 1, got {n}")
     total = 0.0
     try:
         for j in range(n):

@@ -11,22 +11,19 @@ is exactly |c0| + |c1|, attained at w = (c0/|c0|) / (c1/|c1|):
   and B3 in zeta, with v = a2 P1 (4 - B1^2)(1 - |x|^2) / (4 q4);
 * a3 - mu a2^2 = c0 + c1 x for fixed B1, with c1 = P1 (4 - B1^2) / (4 q3).
 
-The maximum of |u| over arg x is that of a quadratic in cos(arg x) (see
-_h2_cells), so the H2 oracle scans (B1, |x|).  The Fekete-Szego oracle
-needs no scan: c0 = K B1^2 for a constant K, so max_x |c0 + c1 x| =
-|K| t + P1 (4 - t) / (4 q3) is affine in t = B1^2 and its maximum over
-B1 in [0, 2] is at B1 = 0 or B1 = 2, the members subordinated through
+Neither oracle scans.  The H2 maximum over |x| <= 1 sits on |x| = 1,
+where v = 0, and the maximum over arg x there is that of a
+quadratic in cos(arg x) (see _h2_cells).  What is left is a maximum over
+B1 of closed forms whose coefficients are polynomials in t = B1^2, so the
+candidates are t in {0, 4} and the critical points of those forms
+(notes/decisions.md has the proof and the algebra).  The Fekete-Szego
+oracle: c0 = K B1^2 for a constant K, so max_x |c0 + c1 x| =
+|K| t + P1 (4 - t) / (4 q3) is affine in t and its maximum over B1 in
+[0, 2] is at B1 = 0 or B1 = 2, the members subordinated through
 w(z) = z^2 and w(z) = z.  Every evaluated point is validated as a genuine
 Caratheodory triple for the whole inner disk (|B2|, |B3| <= 2); a
-violation aborts the scan rather than producing a fictitious functional
-value.
-
-The H2 scan is grid search plus local refinement: after the coarse pass
-the running argmax is re-sampled on a window of one coarse cell at 8x the
-density, per refinement level, clipped to [0, 2] x [0, 1].  Each
-refinement window contains the current argmax exactly, so the reported
-maximum never decreases across levels.  Ties keep the lexicographically
-smallest grid index.
+violation aborts the oracle rather than producing a fictitious
+functional value.
 
 run_ledger() assembles one record per claim per parameter point,
 comparing each closed-form bound against its oracle maximum.  A negative
@@ -81,32 +78,16 @@ STATUS_MISSING = "reconstructed-input-missing"
 
 CARATHEODORY_TOL = 1e-9
 
-# The H2 scan evaluates all nB * nRho (B1, |x|) cells at once: three arg x
-# candidates a cell, about 500 bytes a cell at its peak with 64-bit numpy
-# (130 MB at this cap, 63 times the default grid of 4,141 cells).
-MAX_GRID_POINTS = 2**18
-
-# Past about 17 levels even the coarsest B1 window (nB = 8) is spaced below
-# float resolution and re-evaluates the same points; the cap bounds that work.
-MAX_REFINEMENT = 20
-
-
 class OracleSoundnessError(RuntimeError):
     """A sampled point produced Caratheodory coefficients with |B_n| > 2."""
 
 
 @dataclass(frozen=True)
 class OracleGrid:
-    """Sample counts for the H2 oracle's (B1, |x|) scan.
+    """Accepted and unused: the H2 oracle is exact and reads no grid.
 
-    Both axes include their endpoints ({0, 2} and {0, 1}).  refinement
-    counts the local 8x re-sampling passes around the argmax, at most
-    MAX_REFINEMENT.  nB * nRho may not exceed MAX_GRID_POINTS.  The
-    Fekete-Szego oracle takes no grid: it is exact in B1 and x.
-
-    nPhi and nZeta are accepted and unused: the oracles maximize over
-    arg x and zeta in closed form.  The fields stay only because the
-    benchmark's ledger warm-up still passes them.
+    The fields stay only because the benchmark's ledger warm-up still
+    builds one and passes it to run_ledger, which ignores it.
     """
 
     nB: int = 101
@@ -115,29 +96,11 @@ class OracleGrid:
     nZeta: int = 32
     refinement: int = 2
 
-    def __post_init__(self):
-        for name in ("nB", "nRho"):
-            if getattr(self, name) < 8:
-                raise ValueError(f"{name} must be at least 8")
-        if not 0 <= self.refinement <= MAX_REFINEMENT:
-            raise ValueError(
-                f"refinement must lie in [0, {MAX_REFINEMENT}], got {self.refinement}"
-            )
-        points = self.nB * self.nRho
-        if points > MAX_GRID_POINTS:
-            raise ValueError(
-                f"grid nB * nRho = {points} exceeds the cap of {MAX_GRID_POINTS} points"
-            )
-
-    def to_json_dict(self) -> dict:
-        return {"nB": self.nB, "nRho": self.nRho, "refinement": self.refinement}
-
 
 @dataclass(frozen=True)
 class OracleResult:
     value: float
     argmax: SchwarzTriple
-    level_values: tuple[float, ...]
 
     def argmax_json(self) -> dict:
         t = self.argmax
@@ -148,7 +111,7 @@ class OracleResult:
         }
 
 
-# --- scan machinery ---------------------------------------------------------
+# --- oracle machinery -------------------------------------------------------
 
 
 def _check_caratheodory(b2, b3=None) -> None:
@@ -193,43 +156,67 @@ def _fs_parts(consts, mu, b):
     return a3 - mu * a2 * a2, P1 * gap / (4.0 * q3)
 
 
-def _h2_cells(consts, b_vals, rho_vals):
-    """Per (B1, |x|) cell: max over arg x and zeta of |a2 a4 - a3^2|, and its cos(arg x).
+def _h2_coefficients(consts, b):
+    """(al, be, ga) with a2 a4 - a3^2 = al + be x + ga x^2 at zeta = 0, elementwise in real b.
 
-    For fixed B1, u = al + be x + ga x^2 with real al, be, ga, read off u
-    at x = 0, 1, -1.  On |x| = rho, with c = cos(arg x),
+    Read off u at x = 0, 1, -1; all three are real.
+    """
+    u0, u_pos, u_neg = (_h2_parts(consts, b, x)[0].real for x in (0.0, 1.0, -1.0))
+    return u0, (u_pos - u_neg) / 2.0, (u_pos + u_neg) / 2.0 - u0
 
-        |u|^2 = A + B c + C c^2,    A = al^2 + be^2 rho^2 + ga^2 rho^4 - 2 al ga rho^2,
-                                    B = 2 al be rho + 2 be ga rho^3,  C = 4 al ga rho^2,
+
+def _h2_cells(consts, b_vals):
+    """Per B1: max over |x| = 1 of |a2 a4 - a3^2|, and its cos(arg x).
+
+    On |x| = 1, where v = 0, with c = cos(arg x),
+
+        |u|^2 = A + B c + C c^2,    A = al^2 + be^2 + ga^2 - 2 al ga,
+                                    B = 2 al be + 2 be ga,  C = 4 al ga,
 
     whose maximum over c in [-1, 1] is at c = +-1 or, when C < 0, at the
-    vertex -B / (2C).  |v| depends on |x| alone.  Returns two arrays of
-    shape (len(b_vals), len(rho_vals)): the cell maxima and their c.
+    vertex -B / (2C).  Returns two arrays of the shape of b_vals: the
+    maxima and their c.
     """
-    u0, u_pos, u_neg = (_h2_parts(consts, b_vals, x)[0].real for x in (0.0, 1.0, -1.0))
-    al = u0[:, None]
-    lin = ((u_pos - u_neg) / 2.0)[:, None] * rho_vals  # be rho
-    quad = ((u_pos + u_neg) / 2.0 - u0)[:, None] * rho_vals**2  # ga rho^2
-    B = 2.0 * lin * (al + quad)
-    C = 4.0 * al * quad
+    al, be, ga = _h2_coefficients(consts, b_vals)
+    B = 2.0 * be * (al + ga)
+    C = 4.0 * al * ga
     vertex = np.ones_like(C)
     np.divide(-B, 2.0 * C, out=vertex, where=C < 0.0)
     cos = np.stack([np.ones_like(C), np.clip(vertex, -1.0, 1.0), -np.ones_like(C)])
     e = cos + 1j * np.sqrt(1.0 - cos * cos)  # e^{i arg x}, arg x in [0, pi]
-    u_abs = np.abs(al + lin * e + quad * e * e)
-    # every candidate x must be a genuine Caratheodory point
-    _, _, zeta_term = _checked_b2_b3(b_vals[:, None], rho_vals * e)
-    # v = a2 P1 zeta_term / (2 q4) needs a2 = P1 B1 / (2 q2) alone, and zeta_term
-    # at the c = 1 candidate, where x = |x| exactly
-    P1, q2, q4 = consts[0], consts[3], consts[5]
-    v = (P1 * b_vals / (2.0 * q2))[:, None] * P1 * zeta_term[0] / (2.0 * q4)
+    u_abs = np.abs(al + be * e + ga * e * e)
+    _checked_b2_b3(b_vals, e)  # every candidate x must be a genuine Caratheodory point
     pick = np.argmax(u_abs, axis=0)[None]  # ties keep c = 1, then the vertex
-    return u_abs.max(axis=0) + np.abs(v), np.take_along_axis(cos, pick, 0)[0]
+    return u_abs.max(axis=0), np.take_along_axis(cos, pick, 0)[0]
 
 
-def _refined_axis(center: float, spacing: float, lo: float, hi: float) -> np.ndarray:
-    pts = center + spacing * np.arange(-8, 9) / 8.0
-    return pts[(pts >= lo) & (pts <= hi)]
+def _h2_b1_candidates(consts) -> np.ndarray:
+    """The B1 values, ascending, where the maximum of _h2_cells over B1 in [0, 2] can sit.
+
+    In t = B1^2, al = a t^2, be = b t (4 - t) and ga = (4 - t)(l0 + l1 t)
+    (notes/decisions.md), read off at B1 = 0 and B1 = 1.  The candidates
+    are t = 0, t = 4, the vertices of the quadratics u(1) and u(-1), and
+    the critical points of the vertex branch in arg x, whose square is
+    D^2 M / (4 a L) with D = al - ga, M = 4 a L - b^2 (4 - t) and
+    L = l0 + l1 t: the roots of the cubic 2 D' M L + D (M' L - M L').
+    Every root's real part is kept, clipped to [0, 4]; a spurious
+    candidate costs one evaluation, a missed one the maximum.
+    """
+    al, be, ga = _h2_coefficients(consts, np.array([0.0, 1.0]))
+    a, b, l0 = al[1], be[1] / 3.0, ga[0] / 4.0
+    l1 = ga[1] / 3.0 - l0
+    t = [0.0, 4.0]
+    for s in (1.0, -1.0):  # u(s) = (a - s b - l1) t^2 + (4 s b + 4 l1 - l0) t + 4 l0
+        c2, c1 = a - s * b - l1, 4.0 * (s * b + l1) - l0
+        if c2 != 0.0:
+            t.append(-c1 / (2.0 * c2))
+    D = np.array([a + l1, l0 - 4.0 * l1, -4.0 * l0])
+    M = np.array([4.0 * a * l1 + b * b, 4.0 * a * l0 - 4.0 * b * b])
+    L = np.array([l1, l0])
+    cubic = np.polyadd(2.0 * np.polymul(np.polymul(np.polyder(D), M), L),
+                       (M[0] * L[1] - M[1] * L[0]) * D)
+    t.extend(np.roots(cubic).real)
+    return np.sqrt(np.unique(np.clip(t, 0.0, 4.0)))
 
 
 def _resolve_constants(P: ConicCoefficients, q: float):
@@ -237,35 +224,22 @@ def _resolve_constants(P: ConicCoefficients, q: float):
     return (P.P1, P.P2, P.P3, q2, q3, q4)
 
 
-def oracle_h2_max(
-    P: ConicCoefficients, q: float, grid: OracleGrid | None = None
-) -> OracleResult:
-    """Grid-plus-refinement maximum of |a2 a4 - a3^2| over (B1, |x|), exact in arg x and zeta.
+def oracle_h2_max(P: ConicCoefficients, q: float) -> OracleResult:
+    """Exact maximum of |a2 a4 - a3^2| over the Caratheodory parametrization.
 
+    The maximum sits on |x| = 1 (notes/decisions.md), so it is the largest
+    _h2_cells value over _h2_b1_candidates; ties keep the smallest B1.
     The reported value is |u| + |v| recomputed at the reported argmax.
     """
-    grid = grid or OracleGrid()
     consts = _resolve_constants(P, q)
-    b_axis, rho_axis = np.linspace(0.0, 2.0, grid.nB), np.linspace(0.0, 1.0, grid.nRho)
-    b_step, rho_step = 2.0 / (grid.nB - 1), 1.0 / (grid.nRho - 1)
-    levels: list[float] = []
-    for level in range(grid.refinement + 1):
-        if level:
-            b_axis = _refined_axis(b0, b_step, 0.0, 2.0)
-            rho_axis = _refined_axis(rho0, rho_step, 0.0, 1.0)
-            b_step, rho_step = b_step / 8.0, rho_step / 8.0
-        vals, cos = _h2_cells(consts, b_axis, rho_axis)
-        ib, ir = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        val = float(vals[ib, ir])
-        if levels and val <= levels[-1]:
-            levels.append(levels[-1])
-            continue
-        b0, rho0, cos0 = float(b_axis[ib]), float(rho_axis[ir]), float(cos[ib, ir])
-        levels.append(val)
-    x = rho0 * complex(cos0, math.sqrt(1.0 - cos0 * cos0))
+    b_vals = _h2_b1_candidates(consts)
+    vals, cos = _h2_cells(consts, b_vals)
+    i = int(np.argmax(vals))
+    b0, cos0 = float(b_vals[i]), float(cos[i])
+    x = complex(cos0, math.sqrt(1.0 - cos0 * cos0))
     u, v = _h2_parts(consts, b0, x)
     argmax = SchwarzTriple(B1=b0, x=x, zeta=_unit_ratio(u, v))
-    return OracleResult(float(abs(u) + abs(v)), argmax, tuple(levels))
+    return OracleResult(float(abs(u) + abs(v)), argmax)
 
 
 def oracle_fs_max(mu: complex, P: ConicCoefficients, q: float) -> OracleResult:
@@ -279,7 +253,7 @@ def oracle_fs_max(mu: complex, P: ConicCoefficients, q: float) -> OracleResult:
     vals = np.abs(c0) + np.abs(c1)
     i = int(np.argmax(vals))
     argmax = SchwarzTriple(B1=float(b[i]), x=_unit_ratio(c0[i], 1.0), zeta=1.0)
-    return OracleResult(float(vals[i]), argmax, (float(vals[i]),))
+    return OracleResult(float(vals[i]), argmax)
 
 
 # --- ledger -----------------------------------------------------------------
@@ -452,26 +426,23 @@ def run_ledger(
 
     Points with k outside the built-in regimes and no user coefficients
     yield a single reconstructed-input-missing record instead of failing.
-    distortion_members is accepted and unused: the distortion maxima are
-    read off the extreme points.  It stays only because the benchmark's
-    ledger warm-up still passes it.  tolerance must be finite and
-    nonnegative: NaN or inf would pass every slack, a negative value fail
-    exact agreement.
+    grid and distortion_members are accepted and unused: the H2 oracle is
+    exact and the distortion maxima are read off the extreme points.  They
+    stay only because the benchmark's ledger warm-up still passes them.
+    tolerance must be finite and nonnegative: NaN or inf would pass every
+    slack, a negative value fail exact agreement.
     """
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
-    grid = grid or OracleGrid()
     header = {
         "tool": "qstarlike",
         "version": __version__,
-        "grid": grid.to_json_dict(),
         "tolerance": tolerance,
         "restrictions": [
             "B1 restricted to the real segment [0, 2] (rotation normalization); "
             "|a2 a4 - a3^2| and |a3 - mu a2^2| are unchanged by a_n -> e^{i(n-1)theta} a_n, "
             "so no maximum is lost",
-            "zeta and arg x (H2) and B1 and x (Fekete-Szego) are maximized in closed form, "
-            "not sampled",
+            "B1, x and zeta are maximized in closed form, not sampled",
             "parabolic-regime (k=1) coefficients are reconstructed from the cited "
             "parabolic disk map, not taken from the bound statements themselves",
         ],
@@ -479,11 +450,11 @@ def run_ledger(
     }
     records: list[LedgerRecord] = []
     for index, p in enumerate(points):
-        records.extend(_point_records(p, grid, user_conic, tolerance, rng_seed, index))
+        records.extend(_point_records(p, user_conic, tolerance, rng_seed, index))
     return VerificationReport(header=header, records=tuple(records))
 
 
-def _point_records(p, grid, user_conic, tolerance, rng_seed, index) -> list[LedgerRecord]:
+def _point_records(p, user_conic, tolerance, rng_seed, index) -> list[LedgerRecord]:
     def record(claim, anchor, bound, oracle, conic=None, argmax=None, mu=None,
                status=None):
         slack = None if (bound is None or oracle is None) else bound - oracle
@@ -508,7 +479,7 @@ def _point_records(p, grid, user_conic, tolerance, rng_seed, index) -> list[Ledg
 
     out: list[LedgerRecord] = []
 
-    h2_oracle = oracle_h2_max(P, p.q, grid)
+    h2_oracle = oracle_h2_max(P, p.q)
     out.append(record(
         "second-hankel-bound",
         "closed-form bound on |a2 a4 - a3^2| via the quadratic maximum over t = B1^2",

@@ -24,8 +24,6 @@ from qstarlike.hankel import (
 )
 from qstarlike.verify import (
     CSV_FIELDS,
-    MAX_GRID_POINTS,
-    MAX_REFINEMENT,
     OracleGrid,
     OracleSoundnessError,
     STATUS_MISSING,
@@ -36,6 +34,7 @@ from qstarlike.verify import (
     _distortion_oracles,
     _fs_parts,
     _h2_cells,
+    _h2_coefficients,
     _h2_parts,
     _resolve_constants,
     _roundtrip_oracle,
@@ -45,7 +44,6 @@ from qstarlike.verify import (
     run_ledger,
 )
 
-SMALL = OracleGrid(nB=17, nRho=9, nZeta=8, refinement=1)
 P00 = conic_coefficients(0.0, 0.0)
 
 
@@ -54,34 +52,19 @@ class TestOracleGrid:
         g = OracleGrid()
         assert (g.nB, g.nRho, g.nPhi, g.nZeta, g.refinement) == (101, 41, 64, 32, 2)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OracleGrid(nB=4)
-        with pytest.raises(ValueError):
-            OracleGrid(refinement=-1)
-        OracleGrid(refinement=MAX_REFINEMENT)
-        # 10^18 levels could never run; the refusal comes first
-        for refinement in (MAX_REFINEMENT + 1, 10**18):
-            with pytest.raises(ValueError, match="refinement must lie in"):
-                OracleGrid(refinement=refinement)
-
-    def test_point_cap(self):
-        assert 101 * 41 <= MAX_GRID_POINTS
-        OracleGrid(nB=MAX_GRID_POINTS // 8, nRho=8)
-        # 1e12 cells could never be allocated; the refusal comes first
-        with pytest.raises(ValueError, match="exceeds the cap"):
-            OracleGrid(nB=10**6, nRho=10**6)
-        with pytest.raises(ValueError, match="exceeds the cap"):
-            OracleGrid(nB=MAX_GRID_POINTS // 8 + 1, nRho=8)
-        # nPhi and nZeta are accepted and unused, so they count toward no cap
-        OracleGrid(nPhi=10**6, nZeta=10**6)
+    def test_stub_is_unread(self):
+        # nothing validates or reads the fields, so any grid gives the same report
+        point = [ClassParams(0.8, 1.0, 0.5)]
+        huge = OracleGrid(nB=4, nRho=10**6, refinement=10**18)
+        assert (run_ledger(point, grid=huge, distortion_members=16).json_text()
+                == run_ledger(point).json_text())
 
 
 class TestOracleScans:
     def test_degenerate_origin_cell_is_zero(self):
         consts = (P00.P1, P00.P2, P00.P3, *symmetric_gaps(1.0))
-        vals, _ = _h2_cells(consts, np.array([0.0]), np.array([0.0]))
-        assert vals[0, 0] == 0.0
+        u, v = _h2_parts(consts, 0.0, 0.0)
+        assert u == 0.0 and v == 0.0
         # at B1 = 0 the x-free part of a3 - mu a2^2 vanishes; the maximum
         # over |x| <= 1 is |a3| = P1/q3 (the w(z) = z^2 member)
         c0, c1 = _fs_parts(consts, 0.5, np.array([0.0]))
@@ -90,20 +73,10 @@ class TestOracleScans:
                                                         rel=1e-15)
 
     def test_classical_h2_anchor(self):
-        result = oracle_h2_max(P00, 1.0, SMALL)
-        assert result.value == pytest.approx(1.0, abs=1e-2)
+        # Janteng-Halim-Darus: H2 <= 1 for starlike functions, attained
+        result = oracle_h2_max(P00, 1.0)
+        assert result.value == pytest.approx(1.0, abs=1e-14)
         assert h2_bound(P00, 1.0) == pytest.approx(7.0)
-
-    def test_refinement_never_decreases(self):
-        # MAX_REFINEMENT levels drive the window spacing below the float
-        # resolution of B1; the windows must still stay inside [0, 2] x [0, 1]
-        for (q, k, a) in ((1.0, 0.0, 0.0), (0.5, 1.0, 0.0), (0.8, 1.0, 0.0)):
-            P = conic_coefficients(k, a)
-            for refinement in (3, MAX_REFINEMENT):
-                grid = OracleGrid(nB=17, nRho=9, refinement=refinement)
-                res = oracle_h2_max(P, q, grid)
-                assert len(res.level_values) == refinement + 1
-                assert all(b >= a_ for a_, b in zip(res.level_values, res.level_values[1:]))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -160,9 +133,9 @@ class TestOracleScans:
 
         # arg x: at zeta = 0, 4096 angles of |x| = rho per (B1, rho) cell.
         # The samples' Fourier coefficients show u = al + be x + ga x^2 with
-        # real al, be, ga.  With |u|^2 = A + B c + C c^2 in c = cos(arg x),
-        # the nearest sample is within pi/4096 of the optimal angle, so the
-        # sample loses at most (|B| + 2|C|) (pi/4096)^2 / 2 in |u|^2.
+        # real al, be, ga.  On |x| = 1, with |u|^2 = A + B c + C c^2 in
+        # c = cos(arg x), the nearest sample is within pi/4096 of the optimal
+        # angle, so the sample loses at most (|B| + 2|C|) (pi/4096)^2 / 2 in |u|^2.
         n_angles = 4096
         xs = rho_axis[None, :, None] * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
         b2, b3 = caratheodory_b2_b3(b, xs, 0.0)
@@ -172,17 +145,17 @@ class TestOracleScans:
         scale = np.abs(u_samples).max()
         assert np.abs(fourier[..., 3:]).max() <= 1e-12 * scale
         assert np.abs(fourier[..., :3].imag).max() <= 1e-12 * scale
-        al, lin, quad = (fourier[..., m].real for m in range(3))
+        al, lin, quad = (fourier[:, -1, m].real for m in range(3))  # rho_axis[-1] = 1
         loss = (np.abs(2 * lin * (al + quad)) + 2 * np.abs(4 * al * quad)) * (math.pi / n_angles) ** 2 / 2
-        u_brute = np.abs(u_samples).max(axis=-1)
-        vals, cos = _h2_cells(consts, b_axis, rho_axis)
-        u_exact = vals - np.abs(v[..., 0])
+        u_brute = np.abs(u_samples[:, -1]).max(axis=-1)
+        u_exact, cos = _h2_cells(consts, b_axis)
         assert np.all(u_brute <= u_exact * (1.0 + 1e-12) + 1e-15)
         assert np.all(u_exact**2 <= u_brute**2 + loss + 1e-14 * scale**2)
         if user is not None:
-            assert np.sum(np.abs(cos) < 0.99) > 20  # the vertex in arg x is exercised
-        oracle = oracle_h2_max(P, q, OracleGrid(nB=9, nRho=8, refinement=0)).value
-        assert oracle == pytest.approx(vals.max(), rel=1e-12)
+            assert np.sum(np.abs(cos) < 0.99) >= 6  # the vertex in arg x is exercised
+        # the oracle maximizes over every B1, so it is at least the sampled maximum
+        oracle = oracle_h2_max(P, q).value
+        assert oracle >= u_brute.max() * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("q, k, alpha", [(1.0, 0.0, 0.0), (0.5, 1.0, 0.0), (0.8, 0.0, 0.25)])
     @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 2.5])
@@ -212,7 +185,7 @@ class TestOracleScans:
             caratheodory_from_parameters,
             coefficients_from_schwarz,
         )
-        res = oracle_h2_max(P00, 0.8, SMALL)
+        res = oracle_h2_max(P00, 0.8)
         B = caratheodory_from_parameters(res.argmax)
         a2, a3, a4 = coefficients_from_schwarz(P00, B, 0.8)
         assert abs(a2 * a4 - a3 * a3) == pytest.approx(res.value, rel=1e-12)
@@ -251,6 +224,94 @@ class TestOracleScans:
 
 
 
+def _random_conic_cases(seed, count):
+    """(P, q) with P1 in [0.2, 4], P2, P3 in [0, 12] and q near 0.05, near 1, 1 or in between."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        lo, hi = ((0.05, 0.06), (0.99, 1.0), (1.0, 1.0), (0.06, 0.99))[i % 4]
+        P = ConicCoefficients(rng.uniform(0.2, 4.0), rng.uniform(0.0, 12.0), rng.uniform(0.0, 12.0))
+        cases.append((P, float(rng.uniform(lo, hi))))
+    return cases
+
+
+def _h2_oracle_cases():
+    """The default points, user coefficients and random data.
+
+    With (0.5, 2.1, 6.6) and (0.45, 2.7, 13.1) the maximum sits at an
+    interior B1 (1.19 and 1.16, on u(-1)), 38% and 39% above both ends.
+    """
+    cases = [(conic_coefficients(p.k, p.alpha), p.q) for p in default_parameter_points()]
+    cases += [(ConicCoefficients(1.6, 0.7, 2.5), 0.3), (ConicCoefficients(0.5, 2.1, 6.6), 1.0),
+              (ConicCoefficients(0.45, 2.7, 13.1), 0.55)]
+    return cases + _random_conic_cases(11, 24)
+
+
+class TestH2EndpointLemma:
+    """The facts behind the grid-free H2 oracle (notes/decisions.md)."""
+
+    def test_coefficients_are_polynomials_in_b1_squared(self):
+        # al = a t^2, be = b t (4 - t), ga = (4 - t)(l0 + l1 t), read at B1 = 0, 1
+        b = np.linspace(0.0, 2.0, 41)
+        t = b * b
+        for P, q in _random_conic_cases(3, 40):
+            consts = _resolve_constants(P, q)
+            al, be, ga = _h2_coefficients(consts, b)
+            (_, a), (_, b3), (g0, g1) = _h2_coefficients(consts, np.array([0.0, 1.0]))
+            l0 = g0 / 4.0
+            l1 = g1 / 3.0 - l0
+            scale = max(np.abs(al).max(), np.abs(be).max(), np.abs(ga).max())
+            for got, want in ((al, a * t * t), (be, b3 / 3.0 * t * (4.0 - t)),
+                              (ga, (4.0 - t) * (l0 + l1 * t))):
+                assert np.abs(got - want).max() <= 1e-12 * scale
+
+    def test_quadratic_coefficient_dominates_zeta_term(self):
+        # 16 q2 q3^2 q4 (-ga - K) = P1^2 (4 - t)(2 - B1)(2 q2 q4 - (q3^2 - q2 q4) B1) >= 0,
+        # K = P1^2 B1 (4 - t) / (8 q2 q4) the coefficient of (1 - |x|^2) in |v|
+        b = np.linspace(0.0, 2.0, 41)
+        t = b * b
+        for P, q in _random_conic_cases(4, 40):
+            consts = _resolve_constants(P, q)
+            P1, q2, q3, q4 = consts[0], *consts[3:]
+            assert q3 * q3 > q2 * q4 and 2.0 * q2 * q4 > q3 * q3
+            _, _, ga = _h2_coefficients(consts, b)
+            K = P1 * P1 * b * (4.0 - t) / (8.0 * q2 * q4)
+            rhs = P1 * P1 * (4.0 - t) * (2.0 - b) * (2.0 * q2 * q4 - (q3 * q3 - q2 * q4) * b)
+            lhs = 16.0 * q2 * q3 * q3 * q4 * (-ga - K)
+            scale = 16.0 * q2 * q3 * q3 * q4 * (np.abs(ga).max() + K.max())
+            assert np.abs(lhs - rhs).max() <= 1e-12 * scale
+            assert rhs.min() >= 0.0
+
+    def test_maximum_over_x_sits_on_unit_circle(self):
+        # max over zeta is |u| + |v|; sampled inside the disk it never beats
+        # the exact maximum over |x| = 1 at the same B1
+        b = np.linspace(0.0, 2.0, 41)[:, None, None]
+        x = (np.linspace(0.0, 1.0, 40, endpoint=False)[:, None]
+             * np.exp(2j * np.pi * np.arange(256) / 256))[None]
+        for P, q in _random_conic_cases(5, 24):
+            consts = _resolve_constants(P, q)
+            u, v = _h2_parts(consts, b, x)
+            inside = (np.abs(u) + np.abs(v)).max(axis=(1, 2))
+            on_circle, _ = _h2_cells(consts, b[:, 0, 0])
+            assert np.all(inside <= on_circle * (1.0 + 1e-12) + 1e-300)
+
+    def test_oracle_dominates_dense_scan_and_brute_force(self):
+        rng = np.random.default_rng(7)
+        dense_b = np.linspace(0.0, 2.0, 20001)
+        n = 20000
+        for P, q in _h2_oracle_cases():
+            consts = _resolve_constants(P, q)
+            res = oracle_h2_max(P, q)
+            dense, _ = _h2_cells(consts, dense_b)
+            assert res.value >= dense.max() * (1.0 - 1e-12)
+            b1 = 2.0 * rng.random(n)
+            x = np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+            zeta = np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+            b2, b3 = caratheodory_b2_b3(b1, x, zeta)
+            a2, a3, a4 = schwarz_to_coefficients(*consts, b1, b2, b3)
+            assert res.value >= np.abs(a2 * a4 - a3 * a3).max() * (1.0 - 1e-12)
+
+
 def _fs_cases():
     """(P, q, mu) at the default points and two user coefficient sets, real and complex mu."""
     cases = [(conic_coefficients(p.k, p.alpha), p.q) for p in default_parameter_points()]
@@ -283,7 +344,6 @@ class TestFeketeSzegoOracle:
             res = oracle_fs_max(mu, P, q)
             assert res.value == pytest.approx(sharp, rel=1e-14)
             assert res.argmax.B1 in (0.0, 2.0)
-            assert res.level_values == (res.value,)
 
     def test_argmax_attains_value(self):
         from qstarlike.hankel import caratheodory_from_parameters, coefficients_from_schwarz
@@ -295,15 +355,15 @@ class TestFeketeSzegoOracle:
 
 class TestLedger:
     def test_empty_points(self):
-        report = run_ledger([], grid=SMALL)
+        report = run_ledger([])
         assert report.records == ()
         assert not report.has_violations
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1.0])
     def test_tolerance_must_be_finite_and_nonnegative(self, tolerance):
         with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
-            run_ledger([ClassParams(1.0, 0.0, 0.0)], grid=SMALL, tolerance=tolerance)
-        assert run_ledger([], grid=SMALL, tolerance=0.0).records == ()
+            run_ledger([ClassParams(1.0, 0.0, 0.0)], tolerance=tolerance)
+        assert run_ledger([], tolerance=0.0).records == ()
 
     def test_default_points_shape(self):
         points = default_parameter_points()
@@ -311,8 +371,7 @@ class TestLedger:
         assert points[0] == ClassParams(0.5, 0.0, 0.0)
 
     def test_single_classical_point(self, tmp_path):
-        report = run_ledger([ClassParams(1.0, 0.0, 0.0)], grid=SMALL,
-                            distortion_members=60)
+        report = run_ledger([ClassParams(1.0, 0.0, 0.0)])
         by_claim = {r.claim: r for r in report.records}
         h2 = by_claim["second-hankel-bound"]
         assert h2.bound == pytest.approx(7.0)
@@ -340,7 +399,8 @@ class TestLedger:
         report.write_csv(csv_path)
         doc = json.loads(json_path.read_text())
         assert set(doc) == {"header", "records"}
-        assert set(doc["header"]) >= {"grid", "restrictions", "tolerance", "version"}
+        assert set(doc["header"]) >= {"restrictions", "tolerance", "version"}
+        assert "grid" not in doc["header"]
         assert len(doc["records"]) == len(report.records)
         for rec in doc["records"]:
             assert set(rec) >= {"claim", "anchor", "point", "bound", "oracle", "slack", "status"}
@@ -352,8 +412,7 @@ class TestLedger:
         assert float(rows[0]["bound"]) == doc["records"][0]["bound"]
 
     def test_classical_parabolic_point_carries_limit_rows(self):
-        report = run_ledger([ClassParams(1.0, 1.0, 0.0)], grid=SMALL,
-                            distortion_members=40)
+        report = run_ledger([ClassParams(1.0, 1.0, 0.0)])
         claims = {r.claim for r in report.records}
         assert "printed-classical-h2-limit" in claims
         assert "endpoint-classical-h2-limit" in claims
@@ -370,7 +429,7 @@ class TestLedger:
         assert by_claim["second-hankel-bound"].provenance == "builtin-k1"
 
     def test_unsupported_regime_yields_missing_record(self):
-        report = run_ledger([ClassParams(0.9, 2.0, 0.0)], grid=SMALL)
+        report = run_ledger([ClassParams(0.9, 2.0, 0.0)])
         assert len(report.records) == 1
         rec = report.records[0]
         assert rec.status == STATUS_MISSING
@@ -379,22 +438,21 @@ class TestLedger:
 
     def test_user_conic_feeds_reconstructed_records(self):
         user = ConicCoefficients(1.0, 1.0, 1.0)
-        report = run_ledger([ClassParams(1.0, 2.0, 0.0)], grid=SMALL,
-                            user_conic=user, distortion_members=40)
+        report = run_ledger([ClassParams(1.0, 2.0, 0.0)],
+                            user_conic=user)
         assert all(r.provenance == "user" for r in report.records)
         assert all(r.status in (STATUS_RECONSTRUCTED, STATUS_VIOLATED)
                    for r in report.records)
 
     def test_ledger_determinism(self):
         points = [ClassParams(0.8, 0.0, 0.25)]
-        r1 = run_ledger(points, grid=SMALL, distortion_members=40)
-        r2 = run_ledger(points, grid=SMALL, distortion_members=40)
+        r1 = run_ledger(points)
+        r2 = run_ledger(points)
         assert r1.to_json_dict() == r2.to_json_dict()
 
     def test_status_rule(self):
         # slack below -tolerance is violated regardless of provenance
-        report = run_ledger([ClassParams(0.5, 1.0, 0.0)], grid=SMALL,
-                            distortion_members=40)
+        report = run_ledger([ClassParams(0.5, 1.0, 0.0)])
         for r in report.records:
             if r.slack is not None and r.slack < -1e-6:
                 assert r.status == STATUS_VIOLATED
@@ -443,24 +501,6 @@ def _roundtrip_per_weight(p, rng, n_weights=64):
     return worst
 
 
-def _h2_cells_3d(consts, b_vals, rho_vals):
-    """_h2_cells with v taken from _h2_parts over the whole (3, nB, nRho) candidate array."""
-    u0, u_pos, u_neg = (_h2_parts(consts, b_vals, x)[0].real for x in (0.0, 1.0, -1.0))
-    al = u0[:, None]
-    lin = ((u_pos - u_neg) / 2.0)[:, None] * rho_vals
-    quad = ((u_pos + u_neg) / 2.0 - u0)[:, None] * rho_vals**2
-    B = 2.0 * lin * (al + quad)
-    C = 4.0 * al * quad
-    vertex = np.ones_like(C)
-    np.divide(-B, 2.0 * C, out=vertex, where=C < 0.0)
-    cos = np.stack([np.ones_like(C), np.clip(vertex, -1.0, 1.0), -np.ones_like(C)])
-    e = cos + 1j * np.sqrt(1.0 - cos * cos)
-    u_abs = np.abs(al + lin * e + quad * e * e)
-    _, v = _h2_parts(consts, b_vals[:, None], rho_vals * e)
-    pick = np.argmax(u_abs, axis=0)[None]
-    return u_abs.max(axis=0) + np.abs(v[0]), np.take_along_axis(cos, pick, 0)[0]
-
-
 class TestWholeArrayOracles:
     """The array-shaped oracles give bit-for-bit what their per-item forms give."""
 
@@ -472,27 +512,30 @@ class TestWholeArrayOracles:
             assert got == _roundtrip_per_weight(p, np.random.default_rng(child))
 
     def test_h2_cells_match_candidate_array_evaluation(self):
-        grid = OracleGrid()
-        b_vals, rho_vals = np.linspace(0.0, 2.0, grid.nB), np.linspace(0.0, 1.0, grid.nRho)
-        for p in default_parameter_points():
-            consts = _resolve_constants(conic_coefficients(p.k, p.alpha), p.q)
-            vals, cos = _h2_cells(consts, b_vals, rho_vals)
-            want_vals, want_cos = _h2_cells_3d(consts, b_vals, rho_vals)
-            assert np.array_equal(vals, want_vals)
-            assert np.array_equal(cos, want_cos)
+        # the closed form in al, be, ga against a2 a4 - a3^2 computed from the
+        # Caratheodory data at each B1 and its reported arg x on |x| = 1
+        b = np.linspace(0.0, 2.0, 101)
+        cases = [(conic_coefficients(p.k, p.alpha), p.q) for p in default_parameter_points()]
+        for P, q in cases + [(ConicCoefficients(1.6, 0.7, 2.5), 0.3)]:
+            consts = _resolve_constants(P, q)
+            vals, cos = _h2_cells(consts, b)
+            x = cos + 1j * np.sqrt(1.0 - cos * cos)
+            b2, b3 = caratheodory_b2_b3(b, x, 0.0)
+            a2, a3, a4 = schwarz_to_coefficients(*consts, b, b2, b3)
+            assert np.abs(vals - np.abs(a2 * a4 - a3 * a3)).max() <= 1e-13 * vals.max()
 
-    @pytest.mark.parametrize("candidate", [(0, 0, 0), (1, 8, 4), (2, -1, -1)])
+    @pytest.mark.parametrize("candidate", [(0, 0), (1, 1), (2, -1)])
     def test_guard_sees_every_candidate(self, monkeypatch, candidate):
-        # B2 beyond 2 at one arg-x candidate of one cell must abort the scan
+        # B2 beyond 2 at one arg-x candidate of one B1 must abort the oracle
         real = verify.caratheodory_b2_b3
 
         def broken(b1, x, zeta):
             b2, b3 = real(b1, x, zeta)
-            if np.ndim(x) == 3:  # the candidate array, not the x = 0, +-1 probes
+            if np.ndim(x) == 2:  # the candidate array, not the x = 0, +-1 probes
                 b2 = b2.copy()
                 b2[candidate] = 2.5
             return b2, b3
 
         monkeypatch.setattr(verify, "caratheodory_b2_b3", broken)
         with pytest.raises(OracleSoundnessError, match="B2"):
-            oracle_h2_max(P00, 1.0, SMALL)
+            oracle_h2_max(P00, 1.0)
