@@ -52,10 +52,20 @@ class TestOracleGrid:
         g = OracleGrid()
         assert (g.nB, g.nRho, g.nPhi, g.nZeta, g.refinement) == (101, 41, 64, 32, 2)
 
-    def test_stub_is_unread(self):
-        # nothing validates or reads the fields, so any grid gives the same report
+    def test_validation(self):
+        # the H2 oracle reads no grid, so nothing is validated: values that
+        # were refused when it scanned (B1, |x|) construct and change nothing
         point = [ClassParams(0.8, 1.0, 0.5)]
-        huge = OracleGrid(nB=4, nRho=10**6, refinement=10**18)
+        expected = run_ledger(point).json_text()
+        for grid in (OracleGrid(nB=4), OracleGrid(refinement=-1),
+                     OracleGrid(refinement=10**18)):
+            assert run_ledger(point, grid=grid).json_text() == expected
+
+    def test_point_cap(self):
+        # no point cap either: a 10^12-cell grid could never be allocated, so
+        # an unchanged report shows that no oracle builds an array from it
+        point = [ClassParams(0.8, 1.0, 0.5)]
+        huge = OracleGrid(nB=10**6, nRho=10**6, nPhi=10**6, nZeta=10**6)
         assert (run_ledger(point, grid=huge, distortion_members=16).json_text()
                 == run_ledger(point).json_text())
 
