@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import series as ser
-from .conic import ClassParams, conic_margin
+from .conic import ClassParams
 from .qcalc import _q_factor_table, symmetric_q_number, symmetric_q_derivative
 from .series import (
     DEFAULT_ORDER,

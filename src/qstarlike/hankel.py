@@ -37,13 +37,45 @@ wrappers validate ranges and invariants for scalar use.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, is_dataclass
 
 from .conic import ConicCoefficients
 from .qcalc import symmetric_q_number, validate_q
 
 COEFF_BOUND_TOL = 1e-12
+
+
+def _all_finite(value) -> bool:
+    """value, or each float field of a dataclass value, is finite."""
+    fields = astuple(value) if is_dataclass(value) else (value,)
+    return all(math.isfinite(v) for v in fields if isinstance(v, float))
+
+
+def refuse_overflow(what: str):
+    """Decorator for a function of (..., P, q): a result that overflows raises one OverflowError.
+
+    Python's float ** raises a bare "(34, 'Numerical result out of range')",
+    while + and * return inf or NaN; either way the caller gets an error
+    naming the quantity and its inputs instead.
+    """
+    def wrap(fn):
+        @functools.wraps(fn)
+        def checked(*args):
+            *_, P, q = args
+            try:
+                result = fn(*args)
+                finite = _all_finite(result)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise OverflowError(
+                    f"{what} overflows a double at q={q}, P1={P.P1}, P2={P.P2}, P3={P.P3}"
+                )
+            return result
+        return checked
+    return wrap
 
 
 @dataclass(frozen=True)
@@ -178,6 +210,7 @@ class HankelQuantities:
     cR: float
 
 
+@refuse_overflow("a second-Hankel quantity")
 def hankel_quantities(P: ConicCoefficients, q: float) -> HankelQuantities:
     q2, q3, q4 = symmetric_gaps(q)
     P1, P2, P3 = P.P1, P.P2, P.P3
@@ -210,6 +243,7 @@ def h2_bound_from_quantities(hq: HankelQuantities) -> float:
     return top / (16.0 * hq.q2**2 * hq.q3**2 * hq.q4)
 
 
+@refuse_overflow("the second-Hankel bound")
 def h2_bound(P: ConicCoefficients, q: float) -> float:
     """Upper bound on |a2 a4 - a3^2| over the class.
 
@@ -220,6 +254,7 @@ def h2_bound(P: ConicCoefficients, q: float) -> float:
     return h2_bound_from_quantities(hankel_quantities(P, q))
 
 
+@refuse_overflow("the Fekete-Szego bound")
 def fekete_szego_bound_complex(mu: complex, P: ConicCoefficients, q: float) -> float:
     """Upper bound on |a3 - mu a2^2| for complex weight mu."""
     q2, q3, _ = symmetric_gaps(q)
@@ -232,6 +267,7 @@ def fekete_szego_breakpoint(q: float) -> float:
     return q * (q * q - q + 1.0) / (q**4 + 1.0)
 
 
+@refuse_overflow("the real-branch Fekete-Szego bound")
 def fekete_szego_bound_real(mu: float, P: ConicCoefficients, q: float) -> float:
     """Two-branch real-mu form of the Fekete-Szego bound.
 
@@ -266,6 +302,7 @@ class PrintedCorollaryValues:
     h2_limit_printed: float
 
 
+@refuse_overflow("a printed corollary value")
 def printed_corollary_values(P: ConicCoefficients, q: float) -> PrintedCorollaryValues:
     q = validate_q(q)
     a3_printed = q * q * (P.P2 + P.P1**2 * q) / (q**4 + 1.0)

@@ -35,6 +35,7 @@ automatically.
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
 
@@ -61,7 +62,8 @@ def q_number(lam, q: float):
     """[lambda]_q = (1 - q**lambda)/(1 - q); returns lambda itself at q = 1.
 
     lambda may be complex; integer lambda >= 0 uses the exact geometric
-    sum 1 + q + ... + q**(lambda-1).
+    sum 1 + q + ... + q**(lambda-1).  A result that is not finite raises
+    OverflowError.
     """
     q = validate_q(q)
     if q == 1.0:
@@ -74,7 +76,13 @@ def q_number(lam, q: float):
                 total += power
                 power *= q
             return total
-    return (1.0 - q**lam) / (1.0 - q)
+    try:
+        value = (1.0 - q**lam) / (1.0 - q)
+    except OverflowError:  # ** raises on overflow, where / returns inf or NaN
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise OverflowError(f"[{lam}]_q overflows a double at q={q}")
+    return value
 
 
 def _symmetric_q_number_any(n: int, q: float) -> float:

@@ -53,11 +53,15 @@ from .classes import (
     extremal_function,
     phi_table,
     random_certified_member,
-    sampled_membership,
     t_form_rows,
-    CERTIFIED_NOT_MEMBER_WITNESS,
 )
-from .conic import ClassParams, ConicCoefficients, UnsupportedConicRegimeError, conic_coefficients
+from .conic import (
+    ClassParams,
+    ConicCoefficients,
+    UnsupportedConicRegimeError,
+    conic_coefficients,
+    conic_margin,
+)
 from .hankel import (
     SchwarzTriple,
     caratheodory_b2_b3,
@@ -66,10 +70,12 @@ from .hankel import (
     h2_bound,
     hankel_quantities,
     printed_corollary_values,
+    refuse_overflow,
     schwarz_to_coefficients,
     symmetric_gaps,
 )
-from .series import DEFAULT_ORDER, default_disk_grid
+from .qcalc import symmetric_q_derivative
+from .series import DEFAULT_ORDER
 
 STATUS_VERIFIED = "verified"
 STATUS_VIOLATED = "violated"
@@ -77,6 +83,11 @@ STATUS_RECONSTRUCTED = "reconstructed-input"
 STATUS_MISSING = "reconstructed-input-missing"
 
 CARATHEODORY_TOL = 1e-9
+
+# Draws per parameter point of the two seeded ledger oracles.
+ROUNDTRIP_WEIGHT_ROWS = 64
+SUFFICIENCY_MEMBERS = 20
+
 
 class OracleSoundnessError(RuntimeError):
     """A sampled point produced Caratheodory coefficients with |B_n| > 2."""
@@ -215,6 +226,8 @@ def _h2_b1_candidates(consts) -> np.ndarray:
     L = np.array([l1, l0])
     cubic = np.polyadd(2.0 * np.polymul(np.polymul(np.polyder(D), M), L),
                        (M[0] * L[1] - M[1] * L[0]) * D)
+    if not np.isfinite(cubic).all():
+        raise OverflowError("the H2 candidate cubic overflows")
     t.extend(np.roots(cubic).real)
     return np.sqrt(np.unique(np.clip(t, 0.0, 4.0)))
 
@@ -224,33 +237,39 @@ def _resolve_constants(P: ConicCoefficients, q: float):
     return (P.P1, P.P2, P.P3, q2, q3, q4)
 
 
+@refuse_overflow("the H2 oracle maximum")
 def oracle_h2_max(P: ConicCoefficients, q: float) -> OracleResult:
     """Exact maximum of |a2 a4 - a3^2| over the Caratheodory parametrization.
 
     The maximum sits on |x| = 1 (notes/decisions.md), so it is the largest
     _h2_cells value over _h2_b1_candidates; ties keep the smallest B1.
     The reported value is |u| + |v| recomputed at the reported argmax.
+    Arithmetic that overflows raises OverflowError instead of warning.
     """
     consts = _resolve_constants(P, q)
-    b_vals = _h2_b1_candidates(consts)
-    vals, cos = _h2_cells(consts, b_vals)
-    i = int(np.argmax(vals))
-    b0, cos0 = float(b_vals[i]), float(cos[i])
-    x = complex(cos0, math.sqrt(1.0 - cos0 * cos0))
-    u, v = _h2_parts(consts, b0, x)
+    with np.errstate(all="ignore"):
+        b_vals = _h2_b1_candidates(consts)
+        vals, cos = _h2_cells(consts, b_vals)
+        i = int(np.argmax(vals))
+        b0, cos0 = float(b_vals[i]), float(cos[i])
+        x = complex(cos0, math.sqrt(1.0 - cos0 * cos0))
+        u, v = _h2_parts(consts, b0, x)
     argmax = SchwarzTriple(B1=b0, x=x, zeta=_unit_ratio(u, v))
     return OracleResult(float(abs(u) + abs(v)), argmax)
 
 
+@refuse_overflow("the Fekete-Szego oracle maximum")
 def oracle_fs_max(mu: complex, P: ConicCoefficients, q: float) -> OracleResult:
     """Exact maximum of |a3 - mu a2^2|, taken at B1 = 0 or B1 = 2 (module docstring).
 
     Ties keep B1 = 0.  The argmax carries x = c0/|c0| (1 where c0 = 0) and
-    zeta = 1, since a2 and a3 do not involve zeta.
+    zeta = 1, since a2 and a3 do not involve zeta.  Arithmetic that
+    overflows raises OverflowError instead of warning.
     """
     b = np.array([0.0, 2.0])
-    c0, c1 = _fs_parts(_resolve_constants(P, q), mu, b)
-    vals = np.abs(c0) + np.abs(c1)
+    with np.errstate(all="ignore"):
+        c0, c1 = _fs_parts(_resolve_constants(P, q), mu, b)
+        vals = np.abs(c0) + np.abs(c1)
     i = int(np.argmax(vals))
     argmax = SchwarzTriple(B1=float(b[i]), x=_unit_ratio(c0[i], 1.0), zeta=1.0)
     return OracleResult(float(vals[i]), argmax)
@@ -381,14 +400,14 @@ def _distortion_oracles(p: ClassParams, radius: float):
             1.0 + float((n * c * radius ** (n - 1)).max()))
 
 
-def _roundtrip_oracle(p: ClassParams, rng, n_weights: int = 64) -> float:
+def _roundtrip_oracle(p: ClassParams, rng) -> float:
     """Largest weight error of compose -> decompose over random 12-term convex combinations.
 
-    All n_weights rows go through the row kernels behind
+    All ROUNDTRIP_WEIGHT_ROWS rows go through the row kernels behind
     extreme_point_compose and extreme_point_decompose in one pass, with
     every check of the public functions.
     """
-    raw = rng.random((n_weights, 12))
+    raw = rng.random((ROUNDTRIP_WEIGHT_ROWS, 12))
     lams = convex_weight_rows(raw / raw.sum(axis=1, keepdims=True))
     taylor = compose_rows(lams, p, DEFAULT_ORDER)
     back = convex_weight_rows(decompose_rows(t_form_rows(taylor[:, 1:]), p))
@@ -396,15 +415,23 @@ def _roundtrip_oracle(p: ClassParams, rng, n_weights: int = 64) -> float:
     return float(np.abs(back).max(initial=0.0))
 
 
-def _sufficiency_oracle(p: ClassParams, rng, n_members: int = 20) -> float:
-    """Largest conic-domain violation over sampled certified members (0 if none)."""
-    grid = default_disk_grid()
+def _sufficiency_oracle(p: ClassParams, rng) -> float:
+    """Largest conic-domain violation over random certified members (0 if none).
+
+    Each member f = z - sum(a_n z^n), a_n >= 0, has its least margin over
+    the open disk in the limit z -> 1 (notes/decisions.md), where
+    w(1) = D~_q f(1) / f(1) = (1 - sum [n]~_q a_n) / (1 - sum a_n) is read
+    off the coefficient sums.  f(1) <= 0 would put a zero of f/z on the
+    closed disk; that counts as an unbounded violation.
+    """
     worst = 0.0
-    for _ in range(n_members):
+    for _ in range(SUFFICIENCY_MEMBERS):
         f = random_certified_member(p, rng, DEFAULT_ORDER)
-        verdict = sampled_membership(f, p, grid)
-        if verdict.certified == CERTIFIED_NOT_MEMBER_WITNESS:
-            worst = max(worst, -verdict.margin)
+        f_one = math.fsum(c.real for c in f.coeffs)
+        if not f_one > 0.0:
+            return math.inf
+        dq_one = math.fsum(c.real for c in symmetric_q_derivative(f, p.q).coeffs)
+        worst = max(worst, -conic_margin(dq_one / f_one, p.k, p.alpha))
     return worst
 
 
@@ -564,7 +591,8 @@ def _point_records(p, user_conic, tolerance, rng_seed, index) -> list[LedgerReco
     ))
     out.append(record(
         "sufficient-condition-sampled",
-        "certified members show no conic-domain failure on the disk grid (violation vs 0)",
+        "certified members keep a nonnegative conic margin as z -> 1, where it is least "
+        "(violation vs 0)",
         0.0, _sufficiency_oracle(p, np.random.default_rng(sufficiency_seed)), conic=P,
     ))
     return out

@@ -525,3 +525,35 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 1
+
+
+class TestOverflow:
+    # each used to exit 0 with NaN or Infinity in the output, or to print
+    # "error: (34, 'Numerical result out of range')" or numpy RuntimeWarnings
+    @pytest.mark.parametrize("argv", [
+        ("hankel-bound", "--q", "0.5", "--k", "2", "--alpha", "0", "--P1", "1e100",
+         "--P2", "1e300", "--P3", "1"),
+        ("fs-bound", "--mu", "0.5", "--q", "0.5", "--k", "2", "--alpha", "0", "--P1", "1",
+         "--P2", "1e308", "--P3", "1", "--format", "json"),
+        ("hankel-bound", "--q", "0.5", "--k", "2", "--alpha", "0", "--P1", "1e200",
+         "--P2", "1", "--P3", "1"),
+        ("fs-bound", "--mu", "0.5", "--q", "0.5", "--k", "2", "--alpha", "0", "--P1", "1e200",
+         "--P2", "1", "--P3", "1"),
+        ("oracle", "--which", "h2", "--q", "0.5", "--k", "2", "--alpha", "0", "--P1", "1e200",
+         "--P2", "1", "--P3", "1"),
+        ("oracle", "--which", "fs", "--mu", "0.5", "--q", "0.5", "--k", "2", "--alpha", "0",
+         "--P1", "1e200", "--P2", "1", "--P3", "1"),
+        ("oracle", "--which", "h2", "--q", "0.5", "--k", "2", "--alpha", "0", "--P1", "1",
+         "--P2", "1e300", "--P3", "1e300"),
+        ("qnum", "--n", "-2000", "--q", "0.5"),
+    ], ids=["hankel-nan", "fs-inf", "hankel-pow", "fs-pow", "h2-pow", "fs-oracle-pow",
+            "h2-warnings", "qnum-pow"])
+    def test_overflow_is_one_line_error(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "qstarlike", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_ERROR
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "overflows" in lines[0]
+        assert "(34," not in proc.stderr and "Warning" not in proc.stderr

@@ -43,6 +43,16 @@ from qstarlike.verify import (
     oracle_h2_max,
     run_ledger,
 )
+from qstarlike.classes import (
+    CERTIFIED_INCONCLUSIVE,
+    extremal_function,
+    phi_table,
+    random_certified_member,
+    sampled_membership,
+)
+from qstarlike.conic import conic_margin
+from qstarlike.qcalc import symmetric_q_derivative
+from qstarlike.series import TruncatedSeries, default_disk_grid, evaluate
 
 P00 = conic_coefficients(0.0, 0.0)
 
@@ -549,3 +559,53 @@ class TestWholeArrayOracles:
         monkeypatch.setattr(verify, "caratheodory_b2_b3", broken)
         with pytest.raises(OracleSoundnessError, match="B2"):
             oracle_h2_max(P00, 1.0)
+
+
+def _margin_at_one(f, p):
+    """((1 - alpha) - sum phi_n a_n) / (1 - sum a_n): the margin of z - sum a_n z^n as z -> 1."""
+    a = -np.array(f.coeffs[2:]).real
+    return ((1.0 - p.alpha) - math.fsum(phi_table(p, f.order) * a)) / (1.0 - math.fsum(a))
+
+
+class TestExactSufficiencyOracle:
+    """A negative-coefficient member's least margin over the disk is its limit at z -> 1."""
+
+    def test_grid_minimum_sits_at_the_real_boundary_point(self):
+        # the analysis in notes/decisions.md, seen on the grid: the minimum is
+        # at (0.995, angle 0) and lies at or above the z -> 1 margin
+        grid = default_disk_grid()
+        edge = grid.radii[-1]
+        for index, p in enumerate(default_parameter_points()):
+            rng = np.random.default_rng([3, index])
+            for _ in range(20):
+                f = random_certified_member(p, rng)
+                verdict = sampled_membership(f, p, grid)
+                assert verdict.certified == CERTIFIED_INCONCLUSIVE
+                w = edge * evaluate(symmetric_q_derivative(f, p.q), edge) / evaluate(f, edge)
+                assert verdict.margin == pytest.approx(conic_margin(w, p.k, p.alpha),
+                                                       rel=1e-12, abs=1e-15)
+                assert verdict.margin >= _margin_at_one(f, p)
+
+    def test_oracle_is_zero_on_the_default_draws(self):
+        for index, p in enumerate(default_parameter_points()):
+            _, child = np.random.SeedSequence([20260808, index]).spawn(2)
+            assert verify._sufficiency_oracle(p, np.random.default_rng(child)) == 0.0
+
+    @pytest.mark.parametrize("p", default_parameter_points())
+    def test_member_past_the_budget_is_reported(self, monkeypatch, p):
+        # f_8 scaled 1.02 fails only near z = 1: at r = 0.995 it spends
+        # 1.02 * 0.995^7 < 1 of the budget, so the grid misses it
+        f8 = extremal_function(8, p)
+        past = TruncatedSeries.from_taylor([1.0, *(1.02 * c for c in f8.coeffs[2:])],
+                                           order=f8.order)
+        assert sampled_membership(past, p).certified == CERTIFIED_INCONCLUSIVE
+        monkeypatch.setattr(verify, "random_certified_member", lambda *args: past)
+        got = verify._sufficiency_oracle(p, np.random.default_rng(0))
+        assert got > 0.0
+        assert got == pytest.approx(-_margin_at_one(past, p), rel=1e-12)
+
+    def test_zero_of_f_on_the_closed_disk_is_unbounded(self, monkeypatch):
+        p = ClassParams(1.0, 0.0, 0.0)
+        vanishing = TruncatedSeries.from_taylor([1.0, -1.0])  # f(1) = 0
+        monkeypatch.setattr(verify, "random_certified_member", lambda *args: vanishing)
+        assert verify._sufficiency_oracle(p, np.random.default_rng(0)) == math.inf
