@@ -24,6 +24,7 @@ certify an open-disk inequality), so sampled checks return a witness or
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -144,6 +145,25 @@ def phi_table(p: ClassParams, order: int) -> np.ndarray:
     return phi
 
 
+def _budget_sums(rows, p: ClassParams) -> list[float]:
+    """math.fsum of each row of weighted terms phi_n |a_n|, refusing a sum that is not finite.
+
+    Huge but finite coefficients would otherwise give inf, or fsum's bare
+    "intermediate overflow".  Callers form the terms as Python floats,
+    whose products overflow to inf without a numpy warning, or under
+    np.errstate.
+    """
+    try:
+        totals = list(map(math.fsum, rows))
+    except OverflowError:
+        totals = [math.inf]
+    if not all(map(math.isfinite, totals)):
+        raise OverflowError(
+            f"sum(phi_n |a_n|) overflows a double at q={p.q}, k={p.k}, alpha={p.alpha}"
+        )
+    return totals
+
+
 def coefficient_threshold(n: int, p: ClassParams) -> float:
     """Largest |a_n| that the sufficient condition certifies on its own."""
     return (1.0 - p.alpha) / threshold_denominator(n, p)
@@ -152,8 +172,8 @@ def coefficient_threshold(n: int, p: ClassParams) -> float:
 def sufficient_condition_margin(f: TruncatedSeries, p: ClassParams) -> float:
     """(1 - alpha) - sum(phi_n |a_n|); nonnegative certifies membership."""
     require_normalized(f, "the sufficient coefficient condition")
-    total = math.fsum(phi * abs(c) for phi, c in zip(phi_table(p, f.order), f.coeffs[2:]))
-    return (1.0 - p.alpha) - total
+    terms = map(operator.mul, phi_table(p, f.order).tolist(), map(abs, f.coeffs[2:]))
+    return (1.0 - p.alpha) - _budget_sums([terms], p)[0]
 
 
 def sufficient_membership(f: TruncatedSeries, p: ClassParams) -> MembershipVerdict:
@@ -197,7 +217,8 @@ def ts_membership(f: TruncatedSeries, p: ClassParams) -> MembershipVerdict:
     witness z = 1: clearing denominators of the defining inequality along
     the real axis shows it is violated exactly in the limit z -> 1-.
     """
-    total = math.fsum(phi_table(p, f.order) * t_form_magnitudes(f))
+    terms = map(operator.mul, phi_table(p, f.order).tolist(), t_form_magnitudes(f).tolist())
+    total = _budget_sums([terms], p)[0]
     margin = (1.0 - p.alpha) - total
     # Members sitting exactly on the threshold can land an ulp below zero;
     # the slop is a few machine epsilons of the sum, not a modeling tolerance.
@@ -312,13 +333,15 @@ def decompose_rows(magnitudes: np.ndarray, p: ClassParams) -> np.ndarray:
 
     Raises DecompositionError for the first row whose weighted sum
     exceeds the budget 1 - alpha by more than 1e-12.  The rows are not
-    yet validated as convex weights (convex_weight_rows does that).
+    yet validated as convex weights (convex_weight_rows does that).  A row
+    whose weighted sum overflows a double raises OverflowError.
     """
-    lams = phi_table(p, magnitudes.shape[1] + 1) * magnitudes / (1.0 - p.alpha)
+    with np.errstate(over="ignore"):
+        lams = phi_table(p, magnitudes.shape[1] + 1) * magnitudes / (1.0 - p.alpha)
     out = np.empty((lams.shape[0], lams.shape[1] + 1))
     out[:, 1:] = lams
-    for i, row in enumerate(lams.tolist()):
-        lam1 = 1.0 - math.fsum(row)
+    for i, total in enumerate(_budget_sums(lams.tolist(), p)):
+        lam1 = 1.0 - total
         if lam1 < -1e-12:
             raise DecompositionError(
                 f"not in the class (coefficient sum exceeds the budget by {-lam1:.3e}); "
@@ -362,12 +385,26 @@ def random_certified_member(
 ) -> TruncatedSeries:
     """Random negative-coefficient member with margin >= 0.
 
-    Draws raw magnitudes and rescales so that sum(phi_n a_n) equals a
-    random fraction of the budget 1 - alpha.
+    The one-row case of random_certified_rows.
     """
-    raw = rng.random(order - 1)
-    phi = phi_table(p, order)
-    budget = rng.random() * (1.0 - p.alpha)
-    scale = budget / float(raw @ phi)
-    taylor = [1.0 + 0j] + [complex(-v) for v in raw * scale]
-    return TruncatedSeries.from_taylor(taylor, order=order)
+    magnitudes = random_certified_rows(p, rng, 1, order)[0]
+    return TruncatedSeries.from_taylor([1.0, *(-magnitudes).tolist()], order=order)
+
+
+def random_certified_rows(
+    p: ClassParams, rng: np.random.Generator, count: int, order: int
+) -> np.ndarray:
+    """(count, order - 1) magnitudes (a2, ..., a_order) of random certified members.
+
+    Each row draws order - 1 raw magnitudes and then a fraction of the
+    budget 1 - alpha, and is rescaled so that sum(phi_n a_n) equals that
+    share.  One rng.random((count, order)) block gives the same doubles
+    as count draws of random(order - 1) and random(), and the stacked
+    products run the same dot as row @ phi (a matrix-vector product
+    would round differently), so each row is bitwise what it was alone.
+    """
+    draw = rng.random((count, order))
+    raw = draw[:, :-1]
+    budget = draw[:, -1] * (1.0 - p.alpha)
+    scale = budget / np.matmul(raw[:, None, :], phi_table(p, order))[:, 0]
+    return raw * scale[:, None]

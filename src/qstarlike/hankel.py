@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import astuple, dataclass, is_dataclass
+from dataclasses import dataclass, is_dataclass
 
 from .conic import ConicCoefficients
 from .qcalc import symmetric_q_number, validate_q
@@ -48,8 +48,14 @@ COEFF_BOUND_TOL = 1e-12
 
 
 def _all_finite(value) -> bool:
-    """value, or each float field of a dataclass value, is finite."""
-    fields = astuple(value) if is_dataclass(value) else (value,)
+    """value is finite: a float, each top-level float field of a dataclass, or each tuple item.
+
+    Fields are read shallowly: a nested dataclass, such as an oracle's
+    argmax, is not a result and is not copied or checked.
+    """
+    if isinstance(value, tuple):
+        return all(map(_all_finite, value))
+    fields = vars(value).values() if is_dataclass(value) else (value,)
     return all(math.isfinite(v) for v in fields if isinstance(v, float))
 
 

@@ -131,8 +131,13 @@ def _apply_bracket_derivative(f: TruncatedSeries, q: float, symmetric: bool) -> 
         )
     if f.order < 1:
         raise ValueError("cannot differentiate a constant series")
-    factors = _q_factor_table(validate_q(q), f.order, symmetric)
-    return TruncatedSeries(tuple(fac * c for fac, c in zip(factors, f.coeffs[1:])))
+    q = validate_q(q)
+    factors = _q_factor_table(q, f.order, symmetric)
+    try:
+        return TruncatedSeries(tuple(fac * c for fac, c in zip(factors, f.coeffs[1:])))
+    except ValueError:  # f and the factors are finite, so a product overflowed
+        name = "D~_q" if symmetric else "D_q"
+        raise OverflowError(f"{name} f overflows a double at q={q}") from None
 
 
 def q_derivative(f: TruncatedSeries, q: float) -> TruncatedSeries:

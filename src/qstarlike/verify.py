@@ -52,7 +52,7 @@ from .classes import (
     distortion_bounds,
     extremal_function,
     phi_table,
-    random_certified_member,
+    random_certified_rows,
     t_form_rows,
 )
 from .conic import (
@@ -74,7 +74,7 @@ from .hankel import (
     schwarz_to_coefficients,
     symmetric_gaps,
 )
-from .qcalc import symmetric_q_derivative
+from .qcalc import _q_factor_table
 from .series import DEFAULT_ORDER
 
 STATUS_VERIFIED = "verified"
@@ -167,12 +167,17 @@ def _fs_parts(consts, mu, b):
     return a3 - mu * a2 * a2, P1 * gap / (4.0 * q3)
 
 
+# x = 0, 1, -1, where _h2_coefficients reads u off; a trailing axis against B1.
+_H2_X_PROBES = np.array([0.0, 1.0, -1.0])
+
+
 def _h2_coefficients(consts, b):
     """(al, be, ga) with a2 a4 - a3^2 = al + be x + ga x^2 at zeta = 0, elementwise in real b.
 
-    Read off u at x = 0, 1, -1; all three are real.
+    Read off u at x = 0, 1, -1 in one broadcast _h2_parts call; all three are real.
     """
-    u0, u_pos, u_neg = (_h2_parts(consts, b, x)[0].real for x in (0.0, 1.0, -1.0))
+    u = _h2_parts(consts, np.asarray(b)[..., None], _H2_X_PROBES)[0].real
+    u0, u_pos, u_neg = u[..., 0], u[..., 1], u[..., 2]
     return u0, (u_pos - u_neg) / 2.0, (u_pos + u_neg) / 2.0 - u0
 
 
@@ -211,7 +216,10 @@ def _h2_b1_candidates(consts) -> np.ndarray:
     D^2 M / (4 a L) with D = al - ga, M = 4 a L - b^2 (4 - t) and
     L = l0 + l1 t: the roots of the cubic 2 D' M L + D (M' L - M L').
     Every root's real part is kept, clipped to [0, 4]; a spurious
-    candidate costs one evaluation, a missed one the maximum.
+    candidate costs one evaluation, a missed one the maximum.  The
+    cubic's coefficients are expanded in scalars in the order np.polymul
+    and np.polyadd would take: each is a sum of at most two products, so
+    the bits are theirs.
     """
     al, be, ga = _h2_coefficients(consts, np.array([0.0, 1.0]))
     a, b, l0 = al[1], be[1] / 3.0, ga[0] / 4.0
@@ -221,12 +229,13 @@ def _h2_b1_candidates(consts) -> np.ndarray:
         c2, c1 = a - s * b - l1, 4.0 * (s * b + l1) - l0
         if c2 != 0.0:
             t.append(-c1 / (2.0 * c2))
-    D = np.array([a + l1, l0 - 4.0 * l1, -4.0 * l0])
-    M = np.array([4.0 * a * l1 + b * b, 4.0 * a * l0 - 4.0 * b * b])
-    L = np.array([l1, l0])
-    cubic = np.polyadd(2.0 * np.polymul(np.polymul(np.polyder(D), M), L),
-                       (M[0] * L[1] - M[1] * L[0]) * D)
-    if not np.isfinite(cubic).all():
+    d2, d1, d0 = a + l1, l0 - 4.0 * l1, -4.0 * l0  # D = d2 t^2 + d1 t + d0
+    m1, m0 = 4.0 * a * l1 + b * b, 4.0 * a * l0 - 4.0 * b * b  # M = m1 t + m0
+    e2, e1, e0 = 2.0 * d2 * m1, 2.0 * d2 * m0 + d1 * m1, d1 * m0  # D' M
+    s = m1 * l0 - m0 * l1  # M' L - M L'
+    cubic = [2.0 * (e2 * l1), 2.0 * (e2 * l0 + e1 * l1) + s * d2,
+             2.0 * (e1 * l0 + e0 * l1) + s * d1, 2.0 * (e0 * l0) + s * d0]
+    if not all(map(math.isfinite, cubic)):
         raise OverflowError("the H2 candidate cubic overflows")
     t.extend(np.roots(cubic).real)
     return np.sqrt(np.unique(np.clip(t, 0.0, 4.0)))
@@ -258,9 +267,17 @@ def oracle_h2_max(P: ConicCoefficients, q: float) -> OracleResult:
     return OracleResult(float(abs(u) + abs(v)), argmax)
 
 
-@refuse_overflow("the Fekete-Szego oracle maximum")
 def oracle_fs_max(mu: complex, P: ConicCoefficients, q: float) -> OracleResult:
     """Exact maximum of |a3 - mu a2^2|, taken at B1 = 0 or B1 = 2 (module docstring).
+
+    The one-row case of oracle_fs_rows.
+    """
+    return oracle_fs_rows((mu,), P, q)[0]
+
+
+@refuse_overflow("the Fekete-Szego oracle maximum")
+def oracle_fs_rows(mus, P: ConicCoefficients, q: float) -> tuple[OracleResult, ...]:
+    """oracle_fs_max for each mu of mus, from one (len(mus), 2) array of functional values.
 
     Ties keep B1 = 0.  The argmax carries x = c0/|c0| (1 where c0 = 0) and
     zeta = 1, since a2 and a3 do not involve zeta.  Arithmetic that
@@ -268,11 +285,13 @@ def oracle_fs_max(mu: complex, P: ConicCoefficients, q: float) -> OracleResult:
     """
     b = np.array([0.0, 2.0])
     with np.errstate(all="ignore"):
-        c0, c1 = _fs_parts(_resolve_constants(P, q), mu, b)
+        c0, c1 = _fs_parts(_resolve_constants(P, q), np.asarray(mus)[:, None], b)
         vals = np.abs(c0) + np.abs(c1)
-    i = int(np.argmax(vals))
-    argmax = SchwarzTriple(B1=float(b[i]), x=_unit_ratio(c0[i], 1.0), zeta=1.0)
-    return OracleResult(float(vals[i]), argmax)
+    return tuple(
+        OracleResult(float(vals[r, i]),
+                     SchwarzTriple(B1=float(b[i]), x=_unit_ratio(c0[r, i], 1.0), zeta=1.0))
+        for r, i in enumerate(np.argmax(vals, axis=1).tolist())
+    )
 
 
 # --- ledger -----------------------------------------------------------------
@@ -422,15 +441,18 @@ def _sufficiency_oracle(p: ClassParams, rng) -> float:
     the open disk in the limit z -> 1 (notes/decisions.md), where
     w(1) = D~_q f(1) / f(1) = (1 - sum [n]~_q a_n) / (1 - sum a_n) is read
     off the coefficient sums.  f(1) <= 0 would put a zero of f/z on the
-    closed disk; that counts as an unbounded violation.
+    closed disk; that counts as an unbounded violation.  The members are
+    one random_certified_rows block; each row's sums are the correctly
+    rounded ones symmetric_q_derivative's coefficients would give.
     """
+    a = random_certified_rows(p, rng, SUFFICIENCY_MEMBERS, DEFAULT_ORDER)
+    brackets = np.array(_q_factor_table(p.q, a.shape[1] + 1, True)[1:])
     worst = 0.0
-    for _ in range(SUFFICIENCY_MEMBERS):
-        f = random_certified_member(p, rng, DEFAULT_ORDER)
-        f_one = math.fsum(c.real for c in f.coeffs)
+    for row, weighted in zip((-a).tolist(), (-(brackets * a)).tolist()):
+        f_one = math.fsum([1.0, *row])
         if not f_one > 0.0:
             return math.inf
-        dq_one = math.fsum(c.real for c in symmetric_q_derivative(f, p.q).coeffs)
+        dq_one = math.fsum([1.0, *weighted])
         worst = max(worst, -conic_margin(dq_one / f_one, p.k, p.alpha))
     return worst
 
@@ -513,11 +535,10 @@ def _point_records(p, user_conic, tolerance, rng_seed, index) -> list[LedgerReco
         h2_bound(P, p.q), h2_oracle.value, conic=P, argmax=h2_oracle.argmax_json(),
     ))
 
-    mu_star = fekete_szego_breakpoint(p.q)
-    fs_results = {}
-    for label, mu in (("0", 0.0), ("0.5", 0.5), ("1", 1.0), ("star", mu_star)):
-        fs = oracle_fs_max(mu, P, p.q)
-        fs_results[label] = fs
+    fs_mus = {"0": 0.0, "0.5": 0.5, "1": 1.0, "star": fekete_szego_breakpoint(p.q)}
+    fs_results = dict(zip(fs_mus, oracle_fs_rows(tuple(fs_mus.values()), P, p.q)))
+    for label, mu in fs_mus.items():
+        fs = fs_results[label]
         out.append(record(
             f"fekete-szego-mu-{label}",
             "closed-form bound on |a3 - mu a2^2|",

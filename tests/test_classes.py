@@ -24,6 +24,7 @@ from qstarlike.classes import (
     extreme_point_decompose,
     phi_table,
     random_certified_member,
+    random_certified_rows,
     sampled_membership,
     sufficient_condition_margin,
     sufficient_membership,
@@ -398,6 +399,25 @@ def _refusal(fn, *args):
     return type(info.value), str(info.value)
 
 
+class TestHugeCoefficients:
+    """Huge but finite coefficients end in one worded OverflowError, not inf or a warning."""
+
+    HUGE = member(1.0, -1e308)
+
+    @pytest.mark.parametrize("check", [sufficient_condition_margin, ts_membership,
+                                       extreme_point_decompose])
+    def test_weighted_sum_overflow_is_refused(self, check):
+        with np.errstate(all="raise"):
+            with pytest.raises(OverflowError, match=r"sum\(phi_n \|a_n\|\) overflows .* q=0\.5"):
+                check(self.HUGE, P_HALF)
+
+    def test_fsum_overflow_of_finite_terms_is_refused(self):
+        # each phi_n |a_n| is finite, their sum is not
+        f = member(1.0, -5e307, -5e307, order=4)
+        with pytest.raises(OverflowError, match="overflows"):
+            sufficient_condition_margin(f, ClassParams(1.0, 0.0, 0.0))
+
+
 class TestRowKernels:
     """The row kernels refuse exactly what their one-row public functions refuse."""
 
@@ -465,6 +485,17 @@ class TestGridProduct:
 
 
 class TestRandomMember:
+    @pytest.mark.parametrize("order", [2, 5, 32, 64])
+    def test_rows_are_the_single_draws(self, order):
+        # one (count, order) block holds the doubles of count single draws, in order
+        for index, p in enumerate(default_parameter_points()):
+            single, block = (np.random.default_rng([5, index]) for _ in range(2))
+            members = [random_certified_member(p, single, order) for _ in range(20)]
+            rows = random_certified_rows(p, block, 20, order)
+            assert rows.shape == (20, order - 1)
+            assert (np.vstack([t_form_magnitudes(f) for f in members]) == rows).all()
+            assert single.random() == block.random()
+
     def test_always_certified(self):
         rng = np.random.default_rng(9)
         for p in (P_HALF, ClassParams(0.3, 0.0, 0.6)):

@@ -557,3 +557,21 @@ class TestOverflow:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "overflows" in lines[0]
         assert "(34," not in proc.stderr and "Warning" not in proc.stderr
+
+    # f = z - 1e308 z^2 is finite, but phi_2 |a_2| and [2]~_q a_2 are not: these
+    # printed RuntimeWarnings and "series coefficients must be finite"
+    @pytest.mark.parametrize("argv", [
+        ("member", "--q", "0.5", "--k", "0", "--alpha", "0"),
+        ("decompose", "--q", "0.5", "--k", "0", "--alpha", "0"),
+        ("deriv", "--symmetric", "--q", "0.5"),
+    ], ids=["member", "decompose", "deriv"])
+    def test_huge_coefficient_is_one_line_error(self, tmp_path, argv):
+        path = write_function(tmp_path / "huge.json", [1.0, -1e308], order=32)
+        proc = subprocess.run([sys.executable, "-m", "qstarlike", *argv, "--in", path],
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_ERROR
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "overflows" in lines[0] and "must be finite" not in lines[0]
+        assert "Warning" not in proc.stderr

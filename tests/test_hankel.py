@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qstarlike.conic import ConicCoefficients, conic_coefficients
 from qstarlike.hankel import (
     CaratheodoryCoefficients,
+    HankelQuantities,
     SchwarzTriple,
     caratheodory_b2_b3,
     caratheodory_from_parameters,
@@ -22,6 +23,7 @@ from qstarlike.hankel import (
     hankel_quantities,
     printed_corollary_values,
     quadratic_max_on_interval,
+    refuse_overflow,
     schwarz_to_coefficients,
     symmetric_gaps,
 )
@@ -269,3 +271,37 @@ class TestPrintedValues:
 
     def test_printed_h21_is_not_a_valid_bound_classically(self):
         assert printed_corollary_values(P_KOEBE, 1.0).h21_printed < 0
+
+
+class TestRefuseOverflow:
+    """refuse_overflow reads a result's top-level float fields, shallowly."""
+
+    FIELDS = dict(q2=1.0, q3=2.0, q4=3.0, S=1.0, M=1.0, N=1.0, U=1.0, V=1.0,
+                  cP=1.0, cQ=1.0, cR=1.0)
+
+    @staticmethod
+    def _returning(result):
+        @refuse_overflow("a test quantity")
+        def fn(P, q):
+            return result
+        return fn
+
+    @pytest.mark.parametrize("field, value", [("cP", math.inf), ("V", -math.inf),
+                                              ("q2", math.nan)])
+    def test_non_finite_top_level_field_is_refused(self, field, value):
+        hq = HankelQuantities(**{**self.FIELDS, field: value})
+        with pytest.raises(OverflowError, match="^a test quantity overflows a double at q=0.5"):
+            self._returning(hq)(P_KOEBE, 0.5)
+        with pytest.raises(OverflowError, match="a test quantity"):
+            self._returning((HankelQuantities(**self.FIELDS), hq))(P_KOEBE, 0.5)
+
+    def test_finite_result_passes_and_nested_fields_are_not_read(self):
+        hq = HankelQuantities(**self.FIELDS)
+        assert self._returning(hq)(P_KOEBE, 0.5) is hq
+        # a nested dataclass, like an oracle argmax, is not a result field: its inf is not read
+        nested = dataclasses.make_dataclass("Nested", [("value", float), ("inner", object)])
+        result = nested(1.0, HankelQuantities(**{**self.FIELDS, "cP": math.inf}))
+        assert self._returning(result)(P_KOEBE, 0.5) is result
+        assert self._returning(1.5)(P_KOEBE, 0.5) == 1.5
+        with pytest.raises(OverflowError):
+            self._returning(math.nan)(P_KOEBE, 0.5)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,14 @@ class TestSymmetricQDerivative:
         f = TruncatedSeries.from_taylor([1, 1])
         d = symmetric_q_derivative(f, 0.5)
         assert d.coeffs[1] == pytest.approx(2.5, abs=1e-14)
+
+    @pytest.mark.parametrize("op, name", [(symmetric_q_derivative, "D~_q"),
+                                          (q_derivative, "D_q")])
+    def test_overflowing_coefficient_names_the_operator(self, op, name):
+        # [2]~_0.5 = 2.5 and [2]_0.5 = 1.5 push a finite 1.7e308 past the largest double
+        f = TruncatedSeries.from_taylor([1.0, -1.7e308])
+        with pytest.raises(OverflowError, match=f"^{re.escape(name)} f overflows a double at q=0.5$"):
+            op(f, 0.5)
 
     def test_output_not_normalized(self):
         d = symmetric_q_derivative(TruncatedSeries.from_taylor([1, 0.5]), 0.5)

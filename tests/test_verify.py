@@ -33,6 +33,7 @@ from qstarlike.verify import (
     _check_caratheodory,
     _distortion_oracles,
     _fs_parts,
+    _h2_b1_candidates,
     _h2_cells,
     _h2_coefficients,
     _h2_parts,
@@ -40,6 +41,7 @@ from qstarlike.verify import (
     _roundtrip_oracle,
     default_parameter_points,
     oracle_fs_max,
+    oracle_fs_rows,
     oracle_h2_max,
     run_ledger,
 )
@@ -49,6 +51,7 @@ from qstarlike.classes import (
     phi_table,
     random_certified_member,
     sampled_membership,
+    t_form_magnitudes,
 )
 from qstarlike.conic import conic_margin
 from qstarlike.qcalc import symmetric_q_derivative
@@ -567,6 +570,12 @@ def _margin_at_one(f, p):
     return ((1.0 - p.alpha) - math.fsum(phi_table(p, f.order) * a)) / (1.0 - math.fsum(a))
 
 
+def _drawing_only(f):
+    """A random_certified_rows stand-in whose every row is f's magnitudes |a_n|."""
+    magnitudes = t_form_magnitudes(f)
+    return lambda p, rng, count, order: np.tile(magnitudes, (count, 1))
+
+
 class TestExactSufficiencyOracle:
     """A negative-coefficient member's least margin over the disk is its limit at z -> 1."""
 
@@ -599,7 +608,7 @@ class TestExactSufficiencyOracle:
         past = TruncatedSeries.from_taylor([1.0, *(1.02 * c for c in f8.coeffs[2:])],
                                            order=f8.order)
         assert sampled_membership(past, p).certified == CERTIFIED_INCONCLUSIVE
-        monkeypatch.setattr(verify, "random_certified_member", lambda *args: past)
+        monkeypatch.setattr(verify, "random_certified_rows", _drawing_only(past))
         got = verify._sufficiency_oracle(p, np.random.default_rng(0))
         assert got > 0.0
         assert got == pytest.approx(-_margin_at_one(past, p), rel=1e-12)
@@ -607,5 +616,69 @@ class TestExactSufficiencyOracle:
     def test_zero_of_f_on_the_closed_disk_is_unbounded(self, monkeypatch):
         p = ClassParams(1.0, 0.0, 0.0)
         vanishing = TruncatedSeries.from_taylor([1.0, -1.0])  # f(1) = 0
-        monkeypatch.setattr(verify, "random_certified_member", lambda *args: vanishing)
+        monkeypatch.setattr(verify, "random_certified_rows", _drawing_only(vanishing))
         assert verify._sufficiency_oracle(p, np.random.default_rng(0)) == math.inf
+
+
+def _polynomial_candidates(consts):
+    """_h2_b1_candidates with its cubic built by np.polymul and np.polyadd."""
+    al, be, ga = _h2_coefficients(consts, np.array([0.0, 1.0]))
+    a, b, l0 = al[1], be[1] / 3.0, ga[0] / 4.0
+    l1 = ga[1] / 3.0 - l0
+    t = [0.0, 4.0]
+    for s in (1.0, -1.0):
+        c2, c1 = a - s * b - l1, 4.0 * (s * b + l1) - l0
+        if c2 != 0.0:
+            t.append(-c1 / (2.0 * c2))
+    D = np.array([a + l1, l0 - 4.0 * l1, -4.0 * l0])
+    M = np.array([4.0 * a * l1 + b * b, 4.0 * a * l0 - 4.0 * b * b])
+    L = np.array([l1, l0])
+    cubic = np.polyadd(2.0 * np.polymul(np.polymul(np.polyder(D), M), L),
+                       (M[0] * L[1] - M[1] * L[0]) * D)
+    t.extend(np.roots(cubic).real)
+    return np.sqrt(np.unique(np.clip(t, 0.0, 4.0)))
+
+
+class TestOneArrayPassPerPoint:
+    """The batched ledger oracles give the bits of their one-item forms."""
+
+    def test_member_margins_are_the_scalar_ones(self, monkeypatch):
+        # w(1) of every member, recorded where the oracle scores it, against
+        # fsum over the coefficients of f and of symmetric_q_derivative(f)
+        seen = []
+        monkeypatch.setattr(verify, "conic_margin",
+                            lambda w, k, alpha: seen.append(w) or conic_margin(w, k, alpha))
+        for index, p in enumerate(default_parameter_points()):
+            for seed in range(5):
+                seen.clear()
+                verify._sufficiency_oracle(p, np.random.default_rng([seed, index]))
+                rng = np.random.default_rng([seed, index])
+                want = []
+                for _ in range(verify.SUFFICIENCY_MEMBERS):
+                    f = random_certified_member(p, rng)
+                    f_one = math.fsum(c.real for c in f.coeffs)
+                    dq_one = math.fsum(c.real for c in symmetric_q_derivative(f, p.q).coeffs)
+                    want.append(dq_one / f_one)
+                assert seen == want
+
+    def test_fs_rows_are_oracle_fs_max(self):
+        for P, q in _h2_oracle_cases():
+            ledger_mus = (0.0, 0.5, 1.0, fekete_szego_breakpoint(q))
+            # the ledger's call: real mu, the same bits as one call per mu
+            assert repr(oracle_fs_rows(ledger_mus, P, q)) == repr(
+                tuple(oracle_fs_max(mu, P, q) for mu in ledger_mus))
+            mus = (*ledger_mus, 0.3 + 0.2j)
+            for got, mu in zip(oracle_fs_rows(mus, P, q), mus):
+                want = oracle_fs_max(mu, P, q)
+                assert got.value == want.value and got.argmax == want.argmax
+
+    def test_fs_rows_refuse_overflow(self):
+        P = ConicCoefficients(1e200, 1.0, 1.0)
+        with pytest.raises(OverflowError, match="^the Fekete-Szego oracle maximum overflows"):
+            oracle_fs_rows((0.0, 0.5), P, 0.5)
+
+    def test_candidate_cubic_matches_polymul(self):
+        for P, q in _random_conic_cases(13, 500):
+            consts = _resolve_constants(P, q)
+            with np.errstate(all="ignore"):
+                assert np.array_equal(_h2_b1_candidates(consts), _polynomial_candidates(consts))
