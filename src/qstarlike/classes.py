@@ -31,8 +31,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import series as ser
-from .conic import ClassParams
-from .qcalc import _q_factor_table, symmetric_q_number, symmetric_q_derivative
+from .conic import ClassParams, conic_margin
+from .qcalc import bracket_table, symmetric_q_number, symmetric_q_derivative
 from .series import (
     DEFAULT_ORDER,
     DiskGrid,
@@ -132,7 +132,7 @@ def phi_table(p: ClassParams, order: int) -> np.ndarray:
     A weight that overflows a double raises OverflowError naming its n; it
     would otherwise turn into inf, and inf * 0 into NaN in every weighted sum.
     """
-    brackets = np.array(_q_factor_table(p.q, order, True)[1:])
+    brackets = np.array(bracket_table(p.q, order, True)[1:])
     with np.errstate(over="ignore"):
         phi = brackets * (p.k + 1.0) - (p.k + p.alpha)
     overflowed = np.flatnonzero(np.isinf(phi))
@@ -146,12 +146,10 @@ def phi_table(p: ClassParams, order: int) -> np.ndarray:
 
 
 def _budget_sums(rows, p: ClassParams) -> list[float]:
-    """math.fsum of each row of weighted terms phi_n |a_n|, refusing a sum that is not finite.
+    """math.fsum of each row of weighted terms, refusing a sum that is not finite.
 
     Huge but finite coefficients would otherwise give inf, or fsum's bare
-    "intermediate overflow".  Callers form the terms as Python floats,
-    whose products overflow to inf without a numpy warning, or under
-    np.errstate.
+    "intermediate overflow".
     """
     try:
         totals = list(map(math.fsum, rows))
@@ -164,6 +162,16 @@ def _budget_sums(rows, p: ClassParams) -> list[float]:
     return totals
 
 
+def budget_rows(rows: list[list[float]], p: ClassParams) -> list[float]:
+    """math.fsum of phi_n |a_n| for each row (|a2|, ..., |a_order|) of Python floats.
+
+    Python float products overflow to inf without a numpy warning.  Callers
+    take complex magnitudes with Python's abs: numpy's can differ in the last bit.
+    """
+    phi = phi_table(p, len(rows[0]) + 1).tolist() if rows else []
+    return _budget_sums([map(operator.mul, phi, row) for row in rows], p)
+
+
 def coefficient_threshold(n: int, p: ClassParams) -> float:
     """Largest |a_n| that the sufficient condition certifies on its own."""
     return (1.0 - p.alpha) / threshold_denominator(n, p)
@@ -172,8 +180,11 @@ def coefficient_threshold(n: int, p: ClassParams) -> float:
 def sufficient_condition_margin(f: TruncatedSeries, p: ClassParams) -> float:
     """(1 - alpha) - sum(phi_n |a_n|); nonnegative certifies membership."""
     require_normalized(f, "the sufficient coefficient condition")
-    terms = map(operator.mul, phi_table(p, f.order).tolist(), map(abs, f.coeffs[2:]))
-    return (1.0 - p.alpha) - _budget_sums([terms], p)[0]
+    try:
+        magnitudes = [list(map(abs, f.coeffs[2:]))]
+    except OverflowError:  # |a_n| past the largest double, and phi_n > 1
+        magnitudes = [[math.inf]]
+    return (1.0 - p.alpha) - budget_rows(magnitudes, p)[0]
 
 
 def sufficient_membership(f: TruncatedSeries, p: ClassParams) -> MembershipVerdict:
@@ -217,8 +228,7 @@ def ts_membership(f: TruncatedSeries, p: ClassParams) -> MembershipVerdict:
     witness z = 1: clearing denominators of the defining inequality along
     the real axis shows it is violated exactly in the limit z -> 1-.
     """
-    terms = map(operator.mul, phi_table(p, f.order).tolist(), t_form_magnitudes(f).tolist())
-    total = _budget_sums([terms], p)[0]
+    total = budget_rows([t_form_magnitudes(f).tolist()], p)[0]
     margin = (1.0 - p.alpha) - total
     # Members sitting exactly on the threshold can land an ulp below zero;
     # the slop is a few machine epsilons of the sum, not a modeling tolerance.
@@ -253,7 +263,7 @@ def sampled_membership(
             CERTIFIED_NOT_MEMBER_WITNESS, margin=-math.inf, witness=complex(grid.mesh()[i, j])
         )
     w_vals = num_vals / f_vals
-    margins = w_vals.real - p.k * np.abs(w_vals - 1.0) - p.alpha
+    margins = conic_margin(w_vals, p.k, p.alpha)
     failing = margins <= 0.0
     if failing.any():
         i, j = map(int, np.argwhere(failing)[0])  # lexicographic (radius, angle)
@@ -397,14 +407,12 @@ def random_certified_rows(
     """(count, order - 1) magnitudes (a2, ..., a_order) of random certified members.
 
     Each row draws order - 1 raw magnitudes and then a fraction of the
-    budget 1 - alpha, and is rescaled so that sum(phi_n a_n) equals that
-    share.  One rng.random((count, order)) block gives the same doubles
-    as count draws of random(order - 1) and random(), and the stacked
-    products run the same dot as row @ phi (a matrix-vector product
-    would round differently), so each row is bitwise what it was alone.
+    budget 1 - alpha, and is rescaled so that sum(phi_n a_n), as
+    budget_rows rounds it, equals that share.  One rng.random((count,
+    order)) block gives the same doubles as count draws of random(order - 1)
+    and random(), so each row is bitwise what it is when drawn alone.
     """
     draw = rng.random((count, order))
     raw = draw[:, :-1]
     budget = draw[:, -1] * (1.0 - p.alpha)
-    scale = budget / np.matmul(raw[:, None, :], phi_table(p, order))[:, 0]
-    return raw * scale[:, None]
+    return raw * (budget / np.array(budget_rows(raw.tolist(), p)))[:, None]

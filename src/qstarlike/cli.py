@@ -19,7 +19,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 # classes and verify load numpy, so they are imported inside the handlers that
 # use them; the closed-form verbs (qnum, deriv, hankel-bound, fs-bound) and
@@ -37,12 +36,6 @@ EXIT_FINDINGS = 2
 
 class CliError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    fmt: str = "human"
-    out_path: str | None = None
 
 
 def _fmt(x) -> str:
@@ -64,10 +57,10 @@ def _flatten(value, prefix: str, out: dict) -> None:
         out[prefix] = "" if value is None else value
 
 
-def _emit(payload: dict, human_lines, cfg: CliConfig) -> None:
-    if cfg.fmt == "json":
+def _emit(payload: dict, human_lines, args) -> None:
+    if args.format == "json":
         text = json.dumps(payload, indent=1) + "\n"
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         flat: dict = {}
         _flatten(payload, "", flat)
         buf = io.StringIO()
@@ -77,7 +70,7 @@ def _emit(payload: dict, human_lines, cfg: CliConfig) -> None:
         text = buf.getvalue()
     else:
         text = _lines_text(human_lines)
-    _write_text(text, cfg.out_path)
+    _write_text(text, args.out)
 
 
 def _lines_text(lines) -> str:
@@ -128,17 +121,22 @@ def _class_params(args) -> ClassParams:
     return ClassParams(q=q, k=k, alpha=alpha)
 
 
+def _read_json(path: str, flag: str):
+    """The document in the --flag file; unreadable, malformed or too deeply nested is a CliError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        raise CliError(f"--{flag} file {path!r} is unreadable: {exc}") from exc
+
+
 def _user_conic(args) -> ConicCoefficients | None:
     flags = (args.P1, args.P2, args.P3)
     given = [v for v in flags if v is not None]
     if args.conic and given:
         raise CliError("--conic and --P1/--P2/--P3 are mutually exclusive")
     if args.conic:
-        try:
-            with open(args.conic, "r", encoding="utf-8") as fh:
-                block = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"--conic file {args.conic!r} is unreadable: {exc}") from exc
+        block = _read_json(args.conic, "conic")
         try:
             p1, p2, p3 = (float(v) for v in block["P"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -151,17 +149,10 @@ def _user_conic(args) -> ConicCoefficients | None:
     return ConicCoefficients(*flags)
 
 
-def _resolve_conic(args, p: ClassParams) -> ConicCoefficients:
-    user = _user_conic(args)
-    if user is not None:
-        return user
-    return conic_coefficients(p.k, p.alpha)
-
-
 # --- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_qnum(args, cfg: CliConfig) -> int:
+def _cmd_qnum(args) -> int:
     q = _check_q(args.q)
     n = _check_finite("n", args.n)
     if args.symmetric:
@@ -171,11 +162,11 @@ def _cmd_qnum(args, cfg: CliConfig) -> int:
     else:
         value = qcalc.q_number(n, q)
     payload = _payload({"n": n, "q": q, "symmetric": bool(args.symmetric)}, value=value)
-    _emit(payload, [_fmt(value)], cfg)
+    _emit(payload, [_fmt(value)], args)
     return EXIT_OK
 
 
-def _cmd_deriv(args, cfg: CliConfig) -> int:
+def _cmd_deriv(args) -> int:
     q = _check_q(args.q)
     f = ser.load_function(args.in_path)
     op = qcalc.symmetric_q_derivative if args.symmetric else qcalc.q_derivative
@@ -183,11 +174,11 @@ def _cmd_deriv(args, cfg: CliConfig) -> int:
     doc = ser.to_json_dict(result, kind="derivative")
     payload = _payload({"q": q, "symmetric": bool(args.symmetric), "in": args.in_path}, **doc)
     # the natural output of this verb is the series file itself
-    _emit(payload, [json.dumps(payload, indent=1)], cfg)
+    _emit(payload, [json.dumps(payload, indent=1)], args)
     return EXIT_OK
 
 
-def _cmd_member(args, cfg: CliConfig) -> int:
+def _cmd_member(args) -> int:
     p = _class_params(args)
     f = ser.load_function(args.in_path)
     from . import classes as cls
@@ -212,14 +203,14 @@ def _cmd_member(args, cfg: CliConfig) -> int:
     ]
     if sampled.witness is not None:
         lines.append(f"witness: {_fmt(sampled.witness)}")
-    _emit(payload, lines, cfg)
+    _emit(payload, lines, args)
     witnessed = sampled.certified == cls.CERTIFIED_NOT_MEMBER_WITNESS or (
         t_form is not None and t_form.certified == cls.CERTIFIED_NOT_MEMBER_WITNESS
     )
     return EXIT_FINDINGS if witnessed else EXIT_OK
 
 
-def _cmd_extremal(args, cfg: CliConfig) -> int:
+def _cmd_extremal(args) -> int:
     p = _class_params(args)
     n = args.n
     if n < 1:
@@ -231,11 +222,11 @@ def _cmd_extremal(args, cfg: CliConfig) -> int:
     payload = _payload(
         {"n": n, "q": p.q, "k": p.k, "alpha": p.alpha, "order": f.order}, **doc
     )
-    _emit(payload, [json.dumps(payload, indent=1)], cfg)
+    _emit(payload, [json.dumps(payload, indent=1)], args)
     return EXIT_OK
 
 
-def _cmd_distortion(args, cfg: CliConfig) -> int:
+def _cmd_distortion(args) -> int:
     p = _class_params(args)
     r = args.r
     if not 0.0 <= r < 1.0:
@@ -253,11 +244,11 @@ def _cmd_distortion(args, cfg: CliConfig) -> int:
         f"|f|  in [{_fmt(lo)}, {_fmt(hi)}]",
         f"|f'| in [{_fmt(dlo)}, {_fmt(dhi)}]",
     ]
-    _emit(payload, lines, cfg)
+    _emit(payload, lines, args)
     return EXIT_OK
 
 
-def _cmd_decompose(args, cfg: CliConfig) -> int:
+def _cmd_decompose(args) -> int:
     p = _class_params(args)
     f = ser.load_function(args.in_path)
     from . import classes as cls
@@ -268,13 +259,13 @@ def _cmd_decompose(args, cfg: CliConfig) -> int:
         lambdas=list(weights.lambdas),
     )
     lines = [f"lambda_{n}: {_fmt(v)}" for n, v in enumerate(weights.lambdas, start=1) if v > 0]
-    _emit(payload, lines or ["all weights zero"], cfg)
+    _emit(payload, lines or ["all weights zero"], args)
     return EXIT_OK
 
 
-def _cmd_hankel_bound(args, cfg: CliConfig) -> int:
+def _cmd_hankel_bound(args) -> int:
     p = _class_params(args)
-    P = _resolve_conic(args, p)
+    P = _user_conic(args) or conic_coefficients(p.k, p.alpha)
     hq = hk.hankel_quantities(P, p.q)
     bound = hk.h2_bound(P, p.q)
     payload = _payload(
@@ -284,14 +275,14 @@ def _cmd_hankel_bound(args, cfg: CliConfig) -> int:
         quantities={k: getattr(hq, k) for k in
                     ("q2", "q3", "q4", "S", "M", "N", "U", "V", "cP", "cQ", "cR")},
     )
-    _emit(payload, [f"|a2 a4 - a3^2| <= {_fmt(bound)}"], cfg)
+    _emit(payload, [f"|a2 a4 - a3^2| <= {_fmt(bound)}"], args)
     return EXIT_OK
 
 
-def _cmd_fs_bound(args, cfg: CliConfig) -> int:
+def _cmd_fs_bound(args) -> int:
     mu = complex(_check_finite("mu", args.mu), _check_finite("mu-imag", args.mu_imag) or 0.0)
     p = _class_params(args)
-    P = _resolve_conic(args, p)
+    P = _user_conic(args) or conic_coefficients(p.k, p.alpha)
     bound = hk.fekete_szego_bound_complex(mu, P, p.q)
     real_bound = None if mu.imag else hk.fekete_szego_bound_real(mu.real, P, p.q)
     payload = _payload(
@@ -300,15 +291,15 @@ def _cmd_fs_bound(args, cfg: CliConfig) -> int:
         bound=bound, bound_real_branch=real_bound,
         breakpoint=hk.fekete_szego_breakpoint(p.q),
     )
-    _emit(payload, [f"|a3 - mu a2^2| <= {_fmt(bound)}"], cfg)
+    _emit(payload, [f"|a3 - mu a2^2| <= {_fmt(bound)}"], args)
     return EXIT_OK
 
 
-def _cmd_oracle(args, cfg: CliConfig) -> int:
+def _cmd_oracle(args) -> int:
     _check_finite("mu", args.mu)
     _check_finite("mu-imag", args.mu_imag)
     p = _class_params(args)
-    P = _resolve_conic(args, p)
+    P = _user_conic(args) or conic_coefficients(p.k, p.alpha)
     params = {"which": args.which, "q": p.q, "k": p.k, "alpha": p.alpha,
               "mu": args.mu, "P1": P.P1, "P2": P.P2, "P3": P.P3}
     if args.which == "fs":
@@ -322,16 +313,12 @@ def _cmd_oracle(args, cfg: CliConfig) -> int:
         result = ver.oracle_fs_max(complex(args.mu, args.mu_imag or 0.0), P, p.q)
     payload = _payload(params, max=result.value, argmax=result.argmax_json())
     _emit(payload, [f"oracle max: {_fmt(result.value)}",
-                    f"argmax B1: {_fmt(result.argmax.B1)}"], cfg)
+                    f"argmax B1: {_fmt(result.argmax.B1)}"], args)
     return EXIT_OK
 
 
 def _load_points(path: str) -> tuple[ClassParams, ...]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"--points file {path!r} is unreadable: {exc}") from exc
+    raw = _read_json(path, "points")
     if not isinstance(raw, list):
         raise CliError("--points file must hold a JSON list of {q, k, alpha} objects")
     try:
@@ -357,7 +344,7 @@ def _ledger_summary(report) -> str:
     return _lines_text(lines)
 
 
-def _cmd_ledger(args, cfg: CliConfig) -> int:
+def _cmd_ledger(args) -> int:
     from . import verify as ver
 
     points = _load_points(args.points) if args.points else ver.default_parameter_points()
@@ -371,26 +358,12 @@ def _cmd_ledger(args, cfg: CliConfig) -> int:
                  "human": lambda: _ledger_summary(report)}
     # each format is rendered once, whether it goes to a report file, --out or stdout
     texts = {fmt: render() for fmt, render in renderers.items()
-             if fmt == cfg.fmt or report_paths.get(fmt)}
+             if fmt == args.format or report_paths.get(fmt)}
     for fmt, path in report_paths.items():
         if path:
             _write_text(texts[fmt], path)
-    _write_text(texts[cfg.fmt], cfg.out_path)
+    _write_text(texts[args.format], args.out)
     return EXIT_FINDINGS if report.has_violations else EXIT_OK
-
-
-_HANDLERS = {
-    "qnum": _cmd_qnum,
-    "deriv": _cmd_deriv,
-    "member": _cmd_member,
-    "extremal": _cmd_extremal,
-    "distortion": _cmd_distortion,
-    "decompose": _cmd_decompose,
-    "hankel-bound": _cmd_hankel_bound,
-    "fs-bound": _cmd_fs_bound,
-    "oracle": _cmd_oracle,
-    "ledger": _cmd_ledger,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -407,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qstarlike {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, conic=False, infile=False):
+    def common(sp, run, conic=False, infile=False):
+        sp.set_defaults(run=run)
         sp.add_argument("--format", choices=("human", "json", "csv"), default="human")
         sp.add_argument("--out", dest="out", default=None, help="write output to this path")
         if infile:
@@ -427,73 +401,65 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=float, required=True)
     sp.add_argument("--q", type=float, required=True)
     sp.add_argument("--symmetric", action="store_true")
-    common(sp)
+    common(sp, _cmd_qnum)
 
     sp = sub.add_parser("deriv", help="q- or symmetric-q-derivative of a function file")
     sp.add_argument("--q", type=float, required=True)
     sp.add_argument("--symmetric", action="store_true")
-    common(sp, infile=True)
+    common(sp, _cmd_deriv, infile=True)
 
     sp = sub.add_parser("member", help="coefficient and sampled membership checks")
     class_flags(sp)
-    common(sp, infile=True)
+    common(sp, _cmd_member, infile=True)
 
     sp = sub.add_parser("extremal", help="extremal function f_n as function JSON")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--order", type=int, default=None,
                     help=f"series order, at least max(n, 2) (default max({ser.DEFAULT_ORDER}, n))")
     class_flags(sp)
-    common(sp)
+    common(sp, _cmd_extremal)
 
     sp = sub.add_parser("distortion", help="growth and derivative envelopes at |z| = r")
     sp.add_argument("--r", type=float, required=True)
     class_flags(sp)
-    common(sp)
+    common(sp, _cmd_distortion)
 
     sp = sub.add_parser("decompose", help="extreme-point weights of a member")
     class_flags(sp)
-    common(sp, infile=True)
+    common(sp, _cmd_decompose, infile=True)
 
     sp = sub.add_parser("hankel-bound", help="closed-form bound on |a2 a4 - a3^2|")
     class_flags(sp)
-    common(sp, conic=True)
+    common(sp, _cmd_hankel_bound, conic=True)
 
     sp = sub.add_parser("fs-bound", help="closed-form bound on |a3 - mu a2^2|")
     sp.add_argument("--mu", type=float, required=True)
     sp.add_argument("--mu-imag", type=float, default=None)
     class_flags(sp)
-    common(sp, conic=True)
+    common(sp, _cmd_fs_bound, conic=True)
 
     sp = sub.add_parser("oracle", help="brute-force functional maximum")
     sp.add_argument("--which", choices=("h2", "fs"), required=True)
     sp.add_argument("--mu", type=float, default=None)
     sp.add_argument("--mu-imag", type=float, default=None)
     class_flags(sp)
-    common(sp, conic=True)
+    common(sp, _cmd_oracle, conic=True)
 
     sp = sub.add_parser("ledger", help="run the bound-verification ledger")
     sp.add_argument("--points", default=None, help="JSON list of {q, k, alpha} points")
     sp.add_argument("--tolerance", type=float, default=1e-6)
     sp.add_argument("--json-out", default=None, help="write the JSON report here")
     sp.add_argument("--csv-out", default=None, help="write the CSV report here")
-    common(sp, conic=True)
+    common(sp, _cmd_ledger, conic=True)
 
     return parser
-
-
-def dispatch(args) -> int:
-    cfg = CliConfig(
-        fmt=getattr(args, "format", "human"),
-        out_path=getattr(args, "out", None),
-    )
-    return _HANDLERS[args.subcommand](args, cfg)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return dispatch(args)
+        return args.run(args)
     except (ValueError, OSError, KeyError, OverflowError) as exc:  # CliError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -87,9 +87,8 @@ class ConicCoefficients:
         return self.provenance != PROVENANCE_BUILTIN_K0
 
 
-def conic_margin(w: complex, k: float, alpha: float) -> float:
-    """Signed margin Re w - k*|w - 1| - alpha; positive means inside."""
-    w = complex(w)
+def conic_margin(w, k: float, alpha: float):
+    """Signed margin Re w - k*|w - 1| - alpha, elementwise for an array w; positive means inside."""
     return w.real - k * abs(w - 1.0) - alpha
 
 

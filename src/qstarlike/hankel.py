@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass, is_dataclass
 
 from .conic import ConicCoefficients
-from .qcalc import symmetric_q_number, validate_q
+from .qcalc import bracket_table, validate_q
 
 COEFF_BOUND_TOL = 1e-12
 
@@ -137,7 +137,7 @@ def caratheodory_from_parameters(t: SchwarzTriple) -> CaratheodoryCoefficients:
 def symmetric_gaps(q: float) -> tuple[float, float, float]:
     """(q2, q3, q4) with q_j = [j]~_q - 1; all positive for q in (0, 1]."""
     q = validate_q(q)
-    gaps = tuple(symmetric_q_number(j, q) - 1.0 for j in (2, 3, 4))
+    gaps = tuple(b - 1.0 for b in bracket_table(q, 4, True)[1:])
     if any(g <= 0.0 for g in gaps):
         raise ValueError(f"degenerate symmetric gaps {gaps} at q={q}")
     return gaps

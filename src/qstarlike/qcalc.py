@@ -117,8 +117,8 @@ def symmetric_q_number(n: int, q: float) -> float:
 
 
 @lru_cache(maxsize=256)
-def _q_factor_table(q: float, count: int, symmetric: bool) -> tuple[float, ...]:
-    # ([1], [2], ..., [count]) for the requested bracket flavor
+def bracket_table(q: float, count: int, symmetric: bool) -> tuple[float, ...]:
+    """([1], [2], ..., [count]) of symmetric_q_number, or of q_number; the one bracket table."""
     if symmetric:
         return tuple(symmetric_q_number(n, q) for n in range(1, count + 1))
     return tuple(float(q_number(n, q)) for n in range(1, count + 1))
@@ -132,7 +132,7 @@ def _apply_bracket_derivative(f: TruncatedSeries, q: float, symmetric: bool) -> 
     if f.order < 1:
         raise ValueError("cannot differentiate a constant series")
     q = validate_q(q)
-    factors = _q_factor_table(q, f.order, symmetric)
+    factors = bracket_table(q, f.order, symmetric)
     try:
         return TruncatedSeries(tuple(fac * c for fac, c in zip(factors, f.coeffs[1:])))
     except ValueError:  # f and the factors are finite, so a product overflowed

@@ -107,30 +107,9 @@ class TruncatedSeries:
         """The function f(z) = z."""
         return cls.from_taylor([1.0], order=order)
 
-    def pad_to(self, order: int) -> "TruncatedSeries":
-        if order < self.order:
-            raise ValueError("pad_to cannot shrink a series; use truncate")
-        return TruncatedSeries(self.coeffs + (0j,) * (order - self.order))
-
     def truncate(self, order: int) -> "TruncatedSeries":
-        if order >= self.order:
-            return self.pad_to(order)
-        return TruncatedSeries(self.coeffs[: order + 1])
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return add(self, other)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return multiply(self, other)
-
-    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return divide(self, other)
-
-    def __call__(self, z: complex) -> complex:
-        return evaluate(self, z)
+        """The series cut to the given order, or zero-padded up to it."""
+        return TruncatedSeries(self.coeffs[: order + 1] + (0j,) * (order - self.order))
 
 
 def require_normalized(f: TruncatedSeries, what: str = "operation") -> None:
@@ -150,11 +129,6 @@ def add(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Coefficientwise sum of two series of equal order."""
     _require_same_order(f, g)
     return TruncatedSeries(tuple(a + b for a, b in zip(f.coeffs, g.coeffs)))
-
-
-def scale(f: TruncatedSeries, c: complex) -> TruncatedSeries:
-    """The series c * f(z)."""
-    return TruncatedSeries(tuple(c * a for a in f.coeffs))
 
 
 def _fsum_complex(values) -> complex:
@@ -435,7 +409,11 @@ def from_json_dict(d: dict) -> TruncatedSeries:
 
 def load_function(path) -> TruncatedSeries:
     with open(path, "r", encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError as exc:
+            raise SeriesFormatError(f"malformed function file: {exc}") from exc
+    return from_json_dict(doc)
 
 
 def dump_function(f: TruncatedSeries, path, kind: str = "function") -> None:

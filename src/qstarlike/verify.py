@@ -44,6 +44,7 @@ import numpy as np
 
 from . import __version__
 from .classes import (
+    budget_rows,
     coefficient_threshold,
     compose_rows,
     convex_weight_rows,
@@ -74,7 +75,7 @@ from .hankel import (
     schwarz_to_coefficients,
     symmetric_gaps,
 )
-from .qcalc import _q_factor_table
+from .qcalc import bracket_table
 from .series import DEFAULT_ORDER
 
 STATUS_VERIFIED = "verified"
@@ -446,7 +447,7 @@ def _sufficiency_oracle(p: ClassParams, rng) -> float:
     rounded ones symmetric_q_derivative's coefficients would give.
     """
     a = random_certified_rows(p, rng, SUFFICIENCY_MEMBERS, DEFAULT_ORDER)
-    brackets = np.array(_q_factor_table(p.q, a.shape[1] + 1, True)[1:])
+    brackets = np.array(bracket_table(p.q, a.shape[1] + 1, True)[1:])
     worst = 0.0
     for row, weighted in zip((-a).tolist(), (-(brackets * a)).tolist()):
         f_one = math.fsum([1.0, *row])
@@ -581,9 +582,7 @@ def _point_records(p, user_conic, tolerance, rng_seed, index) -> list[LedgerReco
         ))
 
     f2 = extremal_function(2, p)
-    attained = math.fsum(
-        phi * abs(c) for phi, c in zip(phi_table(p, f2.order), f2.coeffs[2:])
-    )
+    attained = budget_rows([list(map(abs, f2.coeffs[2:]))], p)[0]
     out.append(record(
         "t-class-budget-sharpness",
         "coefficient budget 1 - alpha is exactly attained by the n=2 extremal",

@@ -26,6 +26,7 @@ from qstarlike.classes import (
     extreme_point_compose,
     extreme_point_decompose,
     random_certified_member,
+    random_certified_rows,
     sufficient_condition_margin,
 )
 from qstarlike.conic import ClassParams, conic_coefficients
@@ -178,9 +179,10 @@ class TestCriterion06DistortionEnvelope:
         for (q, k, a) in ((0.5, 1.0, 0.0), (0.9, 0.0, 0.25), (1.0, 0.0, 0.0)):
             p = ClassParams(q, k, a)
             rng = np.random.default_rng(606)
-            rows = [np.asarray(random_certified_member(p, rng, order).coeffs)
-                    for _ in range(10_000)]
-            coeffs = np.vstack(rows)
+            # one block of 10,000 members: the same rows as 10,000 single draws
+            coeffs = np.zeros((10_000, order + 1), dtype=complex)
+            coeffs[:, 1] = 1.0
+            coeffs[:, 2:] = -random_certified_rows(p, rng, 10_000, order)
             deriv = coeffs[:, 1:] * np.arange(1, order + 1)[None, :]
             for r in grid.radii:
                 if r not in powers_cache:

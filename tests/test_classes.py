@@ -12,6 +12,7 @@ from qstarlike.classes import (
     DecompositionError,
     DecompositionWeights,
     TFormError,
+    budget_rows,
     coefficient_threshold,
     convex_weight_rows,
     decompose_rows,
@@ -411,11 +412,50 @@ class TestHugeCoefficients:
             with pytest.raises(OverflowError, match=r"sum\(phi_n \|a_n\|\) overflows .* q=0\.5"):
                 check(self.HUGE, P_HALF)
 
+    def test_complex_magnitude_overflow_is_refused(self):
+        # |a_2| itself is past the largest double, though both its parts are finite
+        with pytest.raises(OverflowError, match=r"sum\(phi_n \|a_n\|\) overflows .* q=0\.5"):
+            sufficient_condition_margin(member(1.0, 1e308 + 1e308j), P_HALF)
+
     def test_fsum_overflow_of_finite_terms_is_refused(self):
         # each phi_n |a_n| is finite, their sum is not
         f = member(1.0, -5e307, -5e307, order=4)
         with pytest.raises(OverflowError, match="overflows"):
             sufficient_condition_margin(f, ClassParams(1.0, 0.0, 0.0))
+
+
+class TestBudgetRows:
+    """budget_rows is the one coefficient budget sum; each caller reads it."""
+
+    def test_equals_fsum_of_weighted_magnitudes(self):
+        rng = np.random.default_rng(41)
+        for index, p in enumerate(default_parameter_points()):
+            order = int(rng.integers(2, 65))
+            tails = rng.normal(size=(30, order - 1)) + 1j * rng.normal(size=(30, order - 1))
+            tails *= 0.5 ** np.arange(order - 1)
+            phi = phi_table(p, order).tolist()
+            want = [math.fsum(w * abs(a) for w, a in zip(phi, row)) for row in tails.tolist()]
+            magnitudes = [[abs(a) for a in row] for row in tails.tolist()]
+            assert budget_rows(magnitudes, p) == want
+            f = TruncatedSeries.from_taylor([1.0, *tails[0].tolist()])
+            assert sufficient_condition_margin(f, p) == (1.0 - p.alpha) - want[0]
+
+    def test_t_form_margin_reads_it(self):
+        rng = np.random.default_rng(42)
+        for p in default_parameter_points():
+            a = rng.random(31) * 0.01 * 0.5 ** np.arange(31)
+            f = TruncatedSeries.from_taylor([1.0, *(-a).tolist()])
+            assert ts_membership(f, p).margin == (1.0 - p.alpha) - budget_rows([a.tolist()], p)[0]
+
+    def test_member_rows_scale_by_the_budget_sum(self):
+        # each row is its raw draw times (share of 1 - alpha) / budget_rows(raw)
+        for index, p in enumerate(default_parameter_points()):
+            draw = np.random.default_rng([6, index]).random((20, 32))
+            raw, share = draw[:, :-1], draw[:, -1] * (1.0 - p.alpha)
+            want = [[r * (s / t) for r in row]
+                    for row, s, t in zip(raw.tolist(), share.tolist(), budget_rows(raw.tolist(), p))]
+            rows = random_certified_rows(p, np.random.default_rng([6, index]), 20, 32)
+            assert rows.tolist() == want
 
 
 class TestRowKernels:

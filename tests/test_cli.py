@@ -575,3 +575,24 @@ class TestOverflow:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "overflows" in lines[0] and "must be finite" not in lines[0]
         assert "Warning" not in proc.stderr
+
+
+class TestDeeplyNestedJson:
+    # json's decoder recurses once per "[", so each of these used to end in a
+    # RecursionError traceback
+    @pytest.mark.parametrize("argv", [
+        ("member", "--q", "0.5", "--k", "0", "--alpha", "0", "--in"),
+        ("deriv", "--q", "0.5", "--in"),
+        ("ledger", "--points"),
+        ("hankel-bound", "--q", "0.5", "--k", "0", "--alpha", "0", "--conic"),
+    ], ids=["member", "deriv", "ledger", "hankel-bound"])
+    def test_is_one_line_error(self, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        proc = subprocess.run([sys.executable, "-m", "qstarlike", *argv, str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_ERROR
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "Traceback" not in proc.stderr

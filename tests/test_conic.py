@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from qstarlike.conic import (
@@ -50,6 +51,22 @@ class TestMembershipPredicate:
             in_conic_domain(1.0, -0.5, 0.0)
         with pytest.raises(ValueError):
             in_conic_domain(1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("k, alpha", [(0.0, 0.0), (0.5, 0.2), (1.0, 0.0), (2.7, 0.9)])
+    def test_array_margin_is_the_scalar_margin(self, k, alpha):
+        rng = np.random.default_rng(31)
+        w = 3.0 * (rng.normal(size=(40, 97)) + 1j * rng.normal(size=(40, 97)))
+        got = conic_margin(w, k, alpha)
+        assert got.shape == w.shape
+        # the array margin is the formula sampled_membership wrote out inline
+        assert np.array_equal(got, w.real - k * np.abs(w - 1.0) - alpha)
+        scalar = np.array([[conic_margin(complex(v), k, alpha) for v in row] for row in w])
+        if k == 0.0:
+            assert np.array_equal(got, scalar)
+        else:
+            # numpy's array |w - 1| and Python's abs may differ in the last bit
+            scale = np.abs(w.real) + k * np.abs(w - 1.0) + alpha
+            assert np.all(np.abs(got - scalar) <= 4.0 * np.finfo(float).eps * scale)
 
 
 class TestCoefficients:

@@ -27,6 +27,7 @@ from qstarlike.hankel import (
     schwarz_to_coefficients,
     symmetric_gaps,
 )
+from qstarlike.qcalc import symmetric_q_number
 
 P_KOEBE = ConicCoefficients(2.0, 2.0, 2.0)
 
@@ -137,6 +138,11 @@ class TestHankelQuantities:
         assert abs(hq.M) < 1e-9
         assert abs(hq.N) < 1e-9
         assert abs(hq.cR) < 1e-20
+
+    def test_gaps_are_the_scalar_brackets(self):
+        # symmetric_gaps reads the bracket table; each gap equals the scalar reference
+        for q in np.linspace(0.001, 1.0, 400):
+            assert symmetric_gaps(q) == tuple(symmetric_q_number(j, q) - 1.0 for j in (2, 3, 4))
 
     def test_u_v_nonnegative(self):
         for q in (0.3, 0.6, 1.0):

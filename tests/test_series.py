@@ -52,6 +52,12 @@ class TestBasics:
         with pytest.raises(ValueError):
             TruncatedSeries((0j, complex("inf")))
 
+    def test_truncate_cuts_and_pads(self):
+        f = S(1, 0.5, 0.25)
+        assert f.truncate(2) == S(1, 0.5)
+        assert f.truncate(3) == f
+        assert f.truncate(6) == S(1, 0.5, 0.25, order=6)
+
 
 class TestAdd:
     def test_cancellation(self):
@@ -267,6 +273,12 @@ class TestJson:
         path = tmp_path / "g.json"
         ser.dump_function(g, path, kind="derivative")
         assert ser.load_function(path) == g
+
+    def test_deep_nesting_is_a_format_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        with pytest.raises(SeriesFormatError, match="malformed function file"):
+            ser.load_function(path)
 
     def test_rejects_non_finite(self):
         with pytest.raises(SeriesFormatError):
