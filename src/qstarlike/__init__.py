@@ -4,16 +4,14 @@ __version__ = "0.1.0"
 
 from .conic import ClassParams, ConicCoefficients, conic_coefficients, in_conic_domain
 from .qcalc import q_number, symmetric_q_number, q_derivative, symmetric_q_derivative
-from .series import DiskGrid, TruncatedSeries, default_disk_grid
+from .series import TruncatedSeries
 
 __all__ = [
     "__version__",
     "ClassParams",
     "ConicCoefficients",
-    "DiskGrid",
     "TruncatedSeries",
     "conic_coefficients",
-    "default_disk_grid",
     "in_conic_domain",
     "q_derivative",
     "q_number",

@@ -33,13 +33,7 @@ import numpy as np
 from . import series as ser
 from .conic import ClassParams, conic_margin
 from .qcalc import bracket_table, symmetric_q_number, symmetric_q_derivative
-from .series import (
-    DEFAULT_ORDER,
-    DiskGrid,
-    TruncatedSeries,
-    default_disk_grid,
-    require_normalized,
-)
+from .series import DEFAULT_ORDER, TruncatedSeries, grid_point, require_normalized
 
 CERTIFIED_MEMBER_SUFFICIENT = "member-sufficient"
 CERTIFIED_MEMBER_IFF_NEGATIVE = "member-iff-negative"
@@ -53,7 +47,7 @@ T_FORM_ZERO_TOL = 1e-14
 
 # Largest extremal index and order: phi_n grows like q^-(n-1) and overflows near
 # n = 1024 at q = 0.5; larger requests are refused before any allocation.
-MAX_EXTREMAL_ORDER = 1024
+MAX_EXTREMAL_ORDER = ser.MAX_ORDER
 
 
 class TFormError(ValueError):
@@ -238,10 +232,8 @@ def ts_membership(f: TruncatedSeries, p: ClassParams) -> MembershipVerdict:
     return MembershipVerdict(CERTIFIED_NOT_MEMBER_WITNESS, margin, witness=1.0 + 0j)
 
 
-def sampled_membership(
-    f: TruncatedSeries, p: ClassParams, grid: DiskGrid | None = None
-) -> MembershipVerdict:
-    """Scan w(z) = z (D~_q f)(z) / f(z) over a disk grid for conic-domain failures.
+def sampled_membership(f: TruncatedSeries, p: ClassParams) -> MembershipVerdict:
+    """Scan w(z) = z (D~_q f)(z) / f(z) over the disk grid for conic-domain failures.
 
     Returns the first failing point in (radius, angle) order as a
     not-member witness, or an inconclusive verdict with the minimum
@@ -252,15 +244,13 @@ def sampled_membership(
     ratio of two polynomials' values, exact at each point.
     """
     require_normalized(f, "membership sampling")
-    if grid is None:
-        grid = default_disk_grid()
     numerator = ser.shift_up(symmetric_q_derivative(f, p.q))  # order f.order, like f
-    f_vals, num_vals = ser.evaluate_rows_on_grid([f.coeffs, numerator.coeffs], grid)
+    f_vals, num_vals = ser.evaluate_rows_on_grid([f.coeffs, numerator.coeffs])
     tiny = np.abs(f_vals) < 1e-12
     if tiny.any():
         i, j = map(int, np.argwhere(tiny)[0])
         return MembershipVerdict(
-            CERTIFIED_NOT_MEMBER_WITNESS, margin=-math.inf, witness=complex(grid.mesh()[i, j])
+            CERTIFIED_NOT_MEMBER_WITNESS, margin=-math.inf, witness=grid_point(i, j)
         )
     w_vals = num_vals / f_vals
     margins = conic_margin(w_vals, p.k, p.alpha)
@@ -270,7 +260,7 @@ def sampled_membership(
         return MembershipVerdict(
             CERTIFIED_NOT_MEMBER_WITNESS,
             margin=float(margins[i, j]),
-            witness=complex(grid.mesh()[i, j]),
+            witness=grid_point(i, j),
         )
     return MembershipVerdict(CERTIFIED_INCONCLUSIVE, margin=float(margins.min()))
 

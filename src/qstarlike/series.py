@@ -23,6 +23,9 @@ from functools import lru_cache
 # the closed-form CLI verbs start without loading it.
 
 DEFAULT_ORDER = 32
+# Largest order a function file may declare, refused before any entry is read:
+# the grid tables and the bracket table grow with the order.
+MAX_ORDER = 1024
 
 
 class OrderMismatchError(ValueError):
@@ -245,89 +248,55 @@ def shift_up(f: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries((0j,) + f.coeffs)
 
 
-@dataclass(frozen=True)
-class DiskGrid:
-    """Polar sampling of the open unit disk.
-
-    radii must increase strictly inside (0, 1); angles are the n_angles
-    equally spaced values 2*pi*j/n_angles, j = 0 .. n_angles-1.
-    """
-
-    radii: tuple[float, ...]
-    n_angles: int
-
-    def __post_init__(self):
-        radii = tuple(float(r) for r in self.radii)
-        if not radii:
-            raise ValueError("grid needs at least one radius")
-        if any(not 0.0 < r < 1.0 for r in radii):
-            raise ValueError("grid radii must lie strictly inside (0, 1)")
-        if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ValueError("grid radii must be strictly increasing")
-        if self.n_angles < 8:
-            raise ValueError("grid needs at least 8 angles")
-        object.__setattr__(self, "radii", radii)
-
-    @property
-    def angles(self) -> tuple[float, ...]:
-        return tuple(2.0 * math.pi * j / self.n_angles for j in range(self.n_angles))
-
-    def points(self):
-        """Yield (i, j, z) over radii then angles, in deterministic order."""
-        for i, r in enumerate(self.radii):
-            for j, t in enumerate(self.angles):
-                yield i, j, r * cmath.exp(1j * t)
-
-    def mesh(self):
-        """Complex ndarray of shape (len(radii), n_angles)."""
-        import numpy as np
-
-        return np.asarray(self.radii)[:, None] * _roots_of_unity(self.n_angles)[None, :]
+# The membership-scan grid: 24 radii 0.04 .. 0.96 plus a near-boundary ring
+# at 0.995, times GRID_ANGLES equally spaced angles t_j = 2 pi j / GRID_ANGLES.
+# The dense real-axis boundary approach matters: class membership failures
+# concentrate at z -> 1 along the real axis.
+GRID_RADII = tuple(round(0.04 * j, 10) for j in range(1, 25)) + (0.995,)
+GRID_ANGLES = 96
 
 
-def _roots_of_unity(n: int):
-    """e^(i t_j) at the grid angles t_j = 2 pi j / n, j = 0 .. n-1."""
+@lru_cache(maxsize=None)
+def _roots_of_unity():
+    """Read-only e^(i t_j) at the grid angles, j = 0 .. GRID_ANGLES - 1."""
     import numpy as np
 
-    return np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+    roots = np.exp(1j * (2.0 * np.pi * np.arange(GRID_ANGLES) / GRID_ANGLES))
+    roots.flags.writeable = False
+    return roots
 
 
-def default_disk_grid() -> DiskGrid:
-    """24 radii 0.04 .. 0.96 plus a near-boundary ring at 0.995, 96 angles.
-
-    The dense real-axis boundary approach matters: class membership
-    failures concentrate at z -> 1 along the real axis.
-    """
-    radii = tuple(round(0.04 * j, 10) for j in range(1, 25)) + (0.995,)
-    return DiskGrid(radii=radii, n_angles=96)
+def grid_point(i: int, j: int) -> complex:
+    """The grid point r_i e^(i t_j), from the roots of unity the grid evaluation uses."""
+    return complex(GRID_RADII[i] * _roots_of_unity()[j])
 
 
 @lru_cache(maxsize=32)
-def _phase_table(n_angles: int, order: int):
-    """Read-only (order + 1, n_angles) table of e^(i n t_j), t_j = 2 pi j / n_angles.
+def _phase_table(order: int):
+    """Read-only (order + 1, GRID_ANGLES) table of e^(i n t_j).
 
-    Entry (n, j) is the root of unity number (n * j) mod n_angles, so every
+    Entry (n, j) is the root of unity number (n * j) mod GRID_ANGLES, so every
     entry is one exp of an angle in [0, 2 pi), with no accumulated products.
     """
     import numpy as np
 
-    table = _roots_of_unity(n_angles)[np.outer(np.arange(order + 1), np.arange(n_angles)) % n_angles]
+    table = _roots_of_unity()[np.outer(np.arange(order + 1), np.arange(GRID_ANGLES)) % GRID_ANGLES]
     table.flags.writeable = False
     return table
 
 
 @lru_cache(maxsize=32)
-def _radial_table(radii: tuple[float, ...], order: int):
-    """Read-only (len(radii), order + 1) table of r_i^n."""
+def _radial_table(order: int):
+    """Read-only (len(GRID_RADII), order + 1) table of r_i^n."""
     import numpy as np
 
-    table = np.asarray(radii)[:, None] ** np.arange(order + 1)
+    table = np.asarray(GRID_RADII)[:, None] ** np.arange(order + 1)
     table.flags.writeable = False
     return table
 
 
-def evaluate_rows_on_grid(coeff_rows, grid: DiskGrid):
-    """Values of S series of one order on a DiskGrid; returns an (S, R, A) complex array.
+def evaluate_rows_on_grid(coeff_rows):
+    """Values of S series of one order on the grid; returns an (S, R, A) complex array.
 
     coeff_rows is an (S, order + 1) array of coefficients c0 .. cN.  On the
     polar grid f(r_i e^(i t_j)) = sum_n (c_n r_i^n) e^(i n t_j): the S
@@ -338,17 +307,17 @@ def evaluate_rows_on_grid(coeff_rows, grid: DiskGrid):
 
     coeff_rows = np.asarray(coeff_rows, dtype=complex)
     count, width = coeff_rows.shape
-    radial = coeff_rows[:, None, :] * _radial_table(grid.radii, width - 1)
-    values = radial.reshape(-1, width) @ _phase_table(grid.n_angles, width - 1)
-    return values.reshape(count, len(grid.radii), grid.n_angles)
+    radial = coeff_rows[:, None, :] * _radial_table(width - 1)
+    values = radial.reshape(-1, width) @ _phase_table(width - 1)
+    return values.reshape(count, len(GRID_RADII), GRID_ANGLES)
 
 
-def evaluate_on_grid(f: TruncatedSeries, grid: DiskGrid):
-    """Vectorized evaluate() over a DiskGrid; returns (R, A) complex array.
+def evaluate_on_grid(f: TruncatedSeries):
+    """Vectorized evaluate() over the grid; returns (R, A) complex array.
 
     The one-series case of evaluate_rows_on_grid.
     """
-    return evaluate_rows_on_grid([f.coeffs], grid)[0]
+    return evaluate_rows_on_grid([f.coeffs])[0]
 
 
 # --- function files ---------------------------------------------------------
@@ -380,6 +349,8 @@ def from_json_dict(d: dict) -> TruncatedSeries:
         raw = d["coeffs"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SeriesFormatError(f"malformed function file: {exc}") from exc
+    if order > MAX_ORDER:
+        raise SeriesFormatError(f"function file order {order} exceeds the maximum {MAX_ORDER}")
     kind = d.get("kind", "function")
     coeffs = []
     for entry in raw:

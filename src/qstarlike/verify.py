@@ -358,10 +358,6 @@ class VerificationReport:
     def json_text(self) -> str:
         return json.dumps(self.to_json_dict(), indent=1) + "\n"
 
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.json_text())
-
     def csv_rows(self) -> list[dict]:
         rows = []
         for r in self.records:
@@ -386,10 +382,6 @@ class VerificationReport:
         writer.writeheader()
         writer.writerows(self.csv_rows())
         return buf.getvalue()
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.csv_text())
 
 
 def default_parameter_points() -> tuple[ClassParams, ...]:

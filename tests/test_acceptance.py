@@ -45,7 +45,7 @@ from qstarlike.qcalc import (
     symmetric_q_derivative,
     symmetric_q_number,
 )
-from qstarlike.series import TruncatedSeries, default_disk_grid
+from qstarlike.series import GRID_ANGLES, GRID_RADII, TruncatedSeries
 from qstarlike.verify import (
     STATUS_VIOLATED,
     run_ledger,
@@ -172,7 +172,6 @@ class TestCriterion05Sharpness:
 class TestCriterion06DistortionEnvelope:
     def test_envelopes_hold(self):
         t0 = time.time()
-        grid = default_disk_grid()
         order = 32
         powers_cache = {}
         worst = 0.0
@@ -184,9 +183,9 @@ class TestCriterion06DistortionEnvelope:
             coeffs[:, 1] = 1.0
             coeffs[:, 2:] = -random_certified_rows(p, rng, 10_000, order)
             deriv = coeffs[:, 1:] * np.arange(1, order + 1)[None, :]
-            for r in grid.radii:
+            for r in GRID_RADII:
                 if r not in powers_cache:
-                    z = r * np.exp(1j * 2 * np.pi * np.arange(grid.n_angles) / grid.n_angles)
+                    z = r * np.exp(1j * 2 * np.pi * np.arange(GRID_ANGLES) / GRID_ANGLES)
                     powers_cache[r] = z[None, :] ** np.arange(order + 1)[:, None]
                 powers = powers_cache[r]
                 vals = np.abs(coeffs @ powers)

@@ -36,11 +36,12 @@ from qstarlike.classes import (
 from qstarlike.conic import ClassParams
 from qstarlike.qcalc import symmetric_q_derivative
 from qstarlike.series import (
-    DiskGrid,
+    GRID_ANGLES,
+    GRID_RADII,
     TruncatedSeries,
-    default_disk_grid,
     evaluate_on_grid,
     evaluate_rows_on_grid,
+    grid_point,
     shift_up,
 )
 from qstarlike.verify import default_parameter_points
@@ -183,14 +184,14 @@ class TestSampledMembership:
 
     def test_first_witness_is_lexicographic(self):
         f = member(1.0, 0.9)
-        grid = default_disk_grid()
-        verdict = sampled_membership(f, P_HALF, grid)
+        verdict = sampled_membership(f, P_HALF)
         # rescan manually: the reported witness must be the first failing
         # (radius, angle) pair in scan order
         from qstarlike.qcalc import symmetric_q_derivative
         from qstarlike.series import evaluate
         deriv = symmetric_q_derivative(f, P_HALF.q)
-        for i, j, z in grid.points():
+        for i, j in np.ndindex(len(GRID_RADII), GRID_ANGLES):
+            z = grid_point(i, j)
             w = z * evaluate(deriv, z) / evaluate(f, z)
             margin = w.real - P_HALF.k * abs(w - 1) - P_HALF.alpha
             if margin <= 0:
@@ -199,18 +200,13 @@ class TestSampledMembership:
         pytest.fail("manual scan found no witness")
 
     def test_vanishing_f_is_witness(self):
-        f = member(1.0, -2.0, order=8)  # f(0.5) = 0
-        grid = DiskGrid(radii=(0.25, 0.5), n_angles=8)
-        verdict = sampled_membership(f, P_HALF, grid)
+        # f = z + z^2/0.52 vanishes at the grid point -0.52
+        verdict = sampled_membership(member(1.0, 1 / 0.52), P_HALF)
         assert verdict.certified == CERTIFIED_NOT_MEMBER_WITNESS
-        assert verdict.witness == pytest.approx(0.5)
+        assert verdict.witness == grid_point(GRID_RADII.index(0.52), 48)
+        assert verdict.witness == pytest.approx(-0.52)
         assert verdict.margin == -math.inf
         assert verdict.to_json_dict()["margin"] is None
-        # on the default grid: f = z + z^2/0.52 vanishes at the grid point -0.52
-        grid = default_disk_grid()
-        verdict = sampled_membership(member(1.0, 1 / 0.52), P_HALF, grid)
-        assert verdict.margin == -math.inf
-        assert verdict.witness == complex(grid.mesh()[grid.radii.index(0.52), grid.n_angles // 2])
 
     def test_derivative_series_rejected(self):
         from qstarlike.qcalc import symmetric_q_derivative
@@ -515,13 +511,12 @@ class TestRowKernels:
 class TestGridProduct:
     @pytest.mark.parametrize("seed", [3, 4])
     def test_one_product_matches_two_evaluations(self, seed):
-        grid = default_disk_grid()
         for index, p in enumerate(default_parameter_points()):
             f = random_certified_member(p, np.random.default_rng([seed, index]))
             numerator = shift_up(symmetric_q_derivative(f, p.q))
-            f_vals, num_vals = evaluate_rows_on_grid([f.coeffs, numerator.coeffs], grid)
-            assert np.array_equal(f_vals, evaluate_on_grid(f, grid))
-            assert np.array_equal(num_vals, evaluate_on_grid(numerator, grid))
+            f_vals, num_vals = evaluate_rows_on_grid([f.coeffs, numerator.coeffs])
+            assert np.array_equal(f_vals, evaluate_on_grid(f))
+            assert np.array_equal(num_vals, evaluate_on_grid(numerator))
 
 
 class TestRandomMember:

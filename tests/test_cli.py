@@ -596,3 +596,30 @@ class TestDeeplyNestedJson:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "Traceback" not in proc.stderr
+
+
+class TestFunctionFileOrderCap:
+    # the work of the --in verbs grows with the file's order, so an order above
+    # the extremal cap is refused before any coefficient entry is read
+    @pytest.mark.parametrize("argv", [
+        ("member", "--q", "1", "--k", "0", "--alpha", "0"),
+        ("deriv", "--q", "1", "--symmetric"),
+        ("decompose", "--q", "1", "--k", "0", "--alpha", "0"),
+    ], ids=["member", "deriv", "decompose"])
+    def test_order_above_the_cap_is_one_line_error(self, capsys, tmp_path, argv):
+        from qstarlike.classes import MAX_EXTREMAL_ORDER
+        at_cap = tmp_path / "f.json"
+        code, _, _ = run_cli(capsys, "extremal", "--n", str(MAX_EXTREMAL_ORDER), "--q", "1",
+                             "--k", "0", "--alpha", "0", "--order", str(MAX_EXTREMAL_ORDER),
+                             "--out", str(at_cap))
+        assert code == EXIT_OK
+        assert run_cli(capsys, *argv, "--in", str(at_cap))[0] == EXIT_OK
+        doc = json.loads(at_cap.read_text())
+        doc["order"] += 1
+        doc["coeffs"].append([0.0, 0.0])
+        past_cap = tmp_path / "g.json"
+        past_cap.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, *argv, "--in", str(past_cap))
+        assert code == EXIT_ERROR
+        assert_one_error_line(out, err, f"order {MAX_EXTREMAL_ORDER + 1}", str(MAX_EXTREMAL_ORDER))
+        assert "Traceback" not in err

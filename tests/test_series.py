@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -10,13 +11,14 @@ from qstarlike import series as ser
 from qstarlike.classes import extremal_function
 from qstarlike.conic import ClassParams
 from qstarlike.series import (
-    DiskGrid,
+    GRID_ANGLES,
+    GRID_RADII,
     OrderMismatchError,
     SeriesFormatError,
     SingularDivisionError,
     TruncatedSeries,
     TruncationWarning,
-    default_disk_grid,
+    grid_point,
 )
 
 
@@ -216,45 +218,40 @@ class TestScaleArgument:
         assert abs(ser.evaluate(g, 0.5) - ser.evaluate(f, c * 0.5) / c) < 1e-15
 
 
-class TestDiskGrid:
+class TestScanGrid:
     def test_default_grid_shape(self):
-        grid = default_disk_grid()
-        assert len(grid.radii) == 25
-        assert grid.radii[-1] == 0.995
-        assert grid.n_angles == 96
-        assert max(grid.radii) < 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DiskGrid(radii=(0.5, 0.4), n_angles=16)
-        with pytest.raises(ValueError):
-            DiskGrid(radii=(0.5, 1.0), n_angles=16)
-        with pytest.raises(ValueError):
-            DiskGrid(radii=(0.5,), n_angles=4)
+        assert len(GRID_RADII) == 25
+        assert GRID_RADII[-1] == 0.995
+        assert GRID_ANGLES == 96
+        assert all(0.0 < a < b < 1.0 for a, b in zip(GRID_RADII, GRID_RADII[1:]))
 
     def test_mesh_matches_points(self):
-        grid = DiskGrid(radii=(0.25, 0.5), n_angles=8)
-        mesh = grid.mesh()
-        for i, j, z in grid.points():
-            assert abs(mesh[i, j] - z) < 1e-15
+        # grid_point(i, j) has the bits of the whole-mesh product r_i e^(i t_j)
+        roots = np.exp(1j * (2.0 * np.pi * np.arange(GRID_ANGLES) / GRID_ANGLES))
+        mesh = np.asarray(GRID_RADII)[:, None] * roots[None, :]
+        points = np.array([[grid_point(i, j) for j in range(GRID_ANGLES)]
+                           for i in range(len(GRID_RADII))])
+        assert np.array_equal(points.view(np.uint64), mesh.view(np.uint64))
+        for (i, j), z in np.ndenumerate(points):
+            assert abs(z - GRID_RADII[i] * cmath.exp(2j * math.pi * j / GRID_ANGLES)) < 1e-15
 
     def test_grid_evaluation_matches_scalar(self):
         phases = np.exp(2j * np.pi * np.random.default_rng(7).random(63))
         cases = [
-            (S(1, 0.2, -0.3j, 0.05), DiskGrid(radii=(0.3, 0.6), n_angles=8)),
-            (S(1, 0.2, -0.3j, 0.05), default_disk_grid()),
-            (S(1, *(0.9 ** np.arange(2, 65) * phases)), default_disk_grid()),  # order 64
-            (extremal_function(1024, ClassParams(1.0, 0.0, 0.0), order=1024), default_disk_grid()),
-            (S(1, 1 / 0.52), default_disk_grid()),  # f(-0.52) = 0 on the grid
+            S(1, 0.2, -0.3j, 0.05),
+            S(1, *(0.9 ** np.arange(2, 65) * phases)),  # order 64
+            extremal_function(1024, ClassParams(1.0, 0.0, 0.0), order=1024),
+            S(1, 1 / 0.52),  # f(-0.52) = 0 on the grid
         ]
-        for f, grid in cases:
+        for f in cases:
             # both evaluations err by a few ulp per term: O(order * eps * sum |a_n| |z|^n)
-            vals = ser.evaluate_on_grid(f, grid)
+            vals = ser.evaluate_on_grid(f)
             mags = np.abs(np.array(f.coeffs))
             powers = np.arange(f.order + 1)
-            for i, j, z in grid.points():
+            for (i, j), value in np.ndenumerate(vals):
+                z = grid_point(i, j)
                 tol = 4 * (f.order + 1) * np.finfo(float).eps * float(mags @ abs(z) ** powers)
-                assert abs(vals[i, j] - ser.evaluate(f, z)) <= tol, (f.order, z)
+                assert abs(value - ser.evaluate(f, z)) <= tol, (f.order, z)
 
 
 class TestJson:

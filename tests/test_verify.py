@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 
@@ -55,7 +56,7 @@ from qstarlike.classes import (
 )
 from qstarlike.conic import conic_margin
 from qstarlike.qcalc import symmetric_q_derivative
-from qstarlike.series import TruncatedSeries, default_disk_grid, evaluate
+from qstarlike.series import GRID_RADII, TruncatedSeries, evaluate
 
 P00 = conic_coefficients(0.0, 0.0)
 
@@ -393,7 +394,7 @@ class TestLedger:
         assert len(points) == 12
         assert points[0] == ClassParams(0.5, 0.0, 0.0)
 
-    def test_single_classical_point(self, tmp_path):
+    def test_single_classical_point(self):
         report = run_ledger([ClassParams(1.0, 0.0, 0.0)])
         by_claim = {r.claim: r for r in report.records}
         h2 = by_claim["second-hankel-bound"]
@@ -416,19 +417,14 @@ class TestLedger:
         assert by_claim["sufficient-condition-sampled"].oracle == 0.0
         assert report.has_violations  # via the printed shortcut rows
 
-        json_path = tmp_path / "report.json"
-        csv_path = tmp_path / "report.csv"
-        report.write_json(json_path)
-        report.write_csv(csv_path)
-        doc = json.loads(json_path.read_text())
+        doc = json.loads(report.json_text())
         assert set(doc) == {"header", "records"}
         assert set(doc["header"]) >= {"restrictions", "tolerance", "version"}
         assert "grid" not in doc["header"]
         assert len(doc["records"]) == len(report.records)
         for rec in doc["records"]:
             assert set(rec) >= {"claim", "anchor", "point", "bound", "oracle", "slack", "status"}
-        with open(csv_path) as fh:
-            rows = list(csv.DictReader(fh))
+        rows = list(csv.DictReader(io.StringIO(report.csv_text())))
         assert len(rows) == len(report.records)
         assert set(rows[0]) == set(CSV_FIELDS)
         # identical numeric content between the two formats
@@ -582,13 +578,12 @@ class TestExactSufficiencyOracle:
     def test_grid_minimum_sits_at_the_real_boundary_point(self):
         # the analysis in notes/decisions.md, seen on the grid: the minimum is
         # at (0.995, angle 0) and lies at or above the z -> 1 margin
-        grid = default_disk_grid()
-        edge = grid.radii[-1]
+        edge = GRID_RADII[-1]
         for index, p in enumerate(default_parameter_points()):
             rng = np.random.default_rng([3, index])
             for _ in range(20):
                 f = random_certified_member(p, rng)
-                verdict = sampled_membership(f, p, grid)
+                verdict = sampled_membership(f, p)
                 assert verdict.certified == CERTIFIED_INCONCLUSIVE
                 w = edge * evaluate(symmetric_q_derivative(f, p.q), edge) / evaluate(f, edge)
                 assert verdict.margin == pytest.approx(conic_margin(w, p.k, p.alpha),
