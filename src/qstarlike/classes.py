@@ -310,16 +310,6 @@ def derivative_distortion_bounds(r: float, p: ClassParams) -> tuple[float, float
     return 1.0 - 2.0 * c * r, 1.0 + 2.0 * c * r
 
 
-def distortion_equality_function(p: ClassParams, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """z + c z^2, attaining the upper envelope at z = r.
-
-    The sign convention follows the stated equality witness; the
-    negative-coefficient member z - c z^2 has the same modulus envelope
-    (attained at z = -r), so envelope checks compare |coefficients|.
-    """
-    return TruncatedSeries.from_taylor([1.0, distortion_coefficient(p)], order=max(order, 2))
-
-
 def extreme_point_decompose(f: TruncatedSeries, p: ClassParams) -> DecompositionWeights:
     """Weights lambda_n = phi_n |a_n| / (1-alpha), lambda_1 = 1 - sum(rest).
 

@@ -137,11 +137,10 @@ def _user_conic(args) -> ConicCoefficients | None:
         raise CliError("--conic and --P1/--P2/--P3 are mutually exclusive")
     if args.conic:
         block = _read_json(args.conic, "conic")
-        try:
-            p1, p2, p3 = (float(v) for v in block["P"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(f'--conic file must carry {{"P": [P1, P2, P3]}}: {exc}') from exc
-        return ConicCoefficients(p1, p2, p3)
+        P = block.get("P") if isinstance(block, dict) else None
+        if not (isinstance(P, list) and len(P) == 3 and all(map(ser.is_json_number, P))):
+            raise CliError('--conic file must carry {"P": [P1, P2, P3]} with three numbers')
+        return ConicCoefficients(*map(float, P))
     if not given:
         return None
     if len(given) != 3:

@@ -127,17 +127,3 @@ def conic_coefficients(
         f"no built-in disk-map coefficients for k={k}; supply P1, P2, P3 explicitly"
     )
 
-
-def conic_map_reference(z: complex, k: float, alpha: float) -> complex:
-    """Reference value of the disk map at z for the built-in regimes.
-
-    k = 0 evaluates the exact half-plane map; k = 1 evaluates the cubic
-    Taylor truncation 1 + P1 z + P2 z^2 + P3 z^3 (good to ~1e-3 margin at
-    radius 0.9).  Used by sampled sanity checks, not by any bound.
-    """
-    if k == 0.0:
-        return (1.0 + (1.0 - 2.0 * alpha) * z) / (1.0 - z)
-    if k == 1.0:
-        p = conic_coefficients(1.0, alpha)
-        return 1.0 + z * (p.P1 + z * (p.P2 + z * p.P3))
-    raise UnsupportedConicRegimeError(f"no reference map for k={k}")

@@ -31,8 +31,8 @@ regions (at q = 1, P = (2,2,2) none of the printed cases applies while
 the quadratic gives 7 unambiguously), so the cases are realized as the
 vertex/endpoint candidates rather than transcribed.
 
-The core formulas accept numpy arrays as well as scalars; the dataclass
-wrappers validate ranges and invariants for scalar use.
+The core formulas accept numpy arrays as well as scalars; SchwarzTriple
+validates the scalar (B1, x, zeta) in which the oracles report a maximizer.
 """
 
 from __future__ import annotations
@@ -104,22 +104,6 @@ class SchwarzTriple:
         object.__setattr__(self, "zeta", complex(self.zeta))
 
 
-@dataclass(frozen=True)
-class CaratheodoryCoefficients:
-    """(B1, B2, B3) of a positive-real-part function; all moduli <= 2."""
-
-    B1: complex
-    B2: complex
-    B3: complex
-
-    def __post_init__(self):
-        for name in ("B1", "B2", "B3"):
-            value = complex(getattr(self, name))
-            if abs(value) > 2.0 + COEFF_BOUND_TOL:
-                raise ValueError(f"|{name}| must be <= 2, got {abs(value)}")
-            object.__setattr__(self, name, value)
-
-
 def caratheodory_b2_b3(b1, x, zeta):
     """Elementwise (B2, B3) from the unit-disk parametrization; b1 real."""
     gap = 4.0 - b1 * b1
@@ -127,11 +111,6 @@ def caratheodory_b2_b3(b1, x, zeta):
     b3 = (b1**3 + 2.0 * gap * b1 * x - b1 * gap * x * x
           + 2.0 * gap * (1.0 - abs(x) ** 2) * zeta) / 4.0
     return b2, b3
-
-
-def caratheodory_from_parameters(t: SchwarzTriple) -> CaratheodoryCoefficients:
-    b2, b3 = caratheodory_b2_b3(t.B1, t.x, t.zeta)
-    return CaratheodoryCoefficients(t.B1, b2, b3)
 
 
 def symmetric_gaps(q: float) -> tuple[float, float, float]:
@@ -153,46 +132,6 @@ def schwarz_to_coefficients(P1, P2, P3, q2, q3, q4, b1, b2, b3):
           + 2.0 * b1 * b2 * (P1 * P1 * (q2 + q3) + 2.0 * q2 * q3 * (P2 - P1))
           + 4.0 * b3 * P1 * q2 * q3) / (8.0 * q2 * q3 * q4)
     return a2, a3, a4
-
-
-def coefficients_from_schwarz(
-    P: ConicCoefficients, B: CaratheodoryCoefficients, q: float
-) -> tuple[complex, complex, complex]:
-    """(a2, a3, a4) of the class member generated by Caratheodory data B."""
-    q2, q3, q4 = symmetric_gaps(q)
-    a2, a3, a4 = schwarz_to_coefficients(P.P1, P.P2, P.P3, q2, q3, q4, B.B1, B.B2, B.B3)
-    return complex(a2), complex(a3), complex(a4)
-
-
-def hankel_determinant(coeffs, s: int, n: int) -> complex:
-    """Determinant of the s x s matrix with (i, j) entry a_{n+i+j-2}.
-
-    coeffs lists (a1, a2, ...); its first entry is forced to 1.  Needs
-    a1 .. a_{n+2s-2}, i.e. at least n + 2s - 2 entries.
-    """
-    if s < 1 or n < 1:
-        raise ValueError("Hankel determinant needs s >= 1 and n >= 1")
-    need = n + 2 * s - 2
-    a = [complex(c) for c in coeffs]
-    if len(a) < need:
-        raise ValueError(f"need coefficients a1..a{need}, got only {len(a)}")
-    a[0] = 1.0 + 0j
-    matrix = [[a[n + i + j - 1] for j in range(s)] for i in range(s)]
-    return _det(matrix)
-
-
-def _det(m: list[list[complex]]) -> complex:
-    size = len(m)
-    if size == 1:
-        return m[0][0]
-    if size == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0j
-    for j in range(size):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * _det(minor)
-        total += term if j % 2 == 0 else -term
-    return total
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ z^0 .. z^N; N is the truncation order.  Normalized analytic functions
 f(z) = z + a2 z^2 + ... are the special case c0 = 0, c1 = 1.  All values
 are immutable and every operation is a pure function.
 
-Arithmetic is exact polynomial arithmetic truncated at the common order;
+The operations are the quotient of two series, multiplication by z,
+evaluation on the membership-scan grid and the function-file format;
 nothing here attempts analytic continuation or arbitrary precision.
 """
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,10 +42,6 @@ class NormalizationError(ValueError):
 
 class SeriesFormatError(ValueError):
     """Malformed function file."""
-
-
-class TruncationWarning(UserWarning):
-    """Evaluation requested where the truncation error is unbounded."""
 
 
 @dataclass(frozen=True)
@@ -98,21 +94,9 @@ class TruncatedSeries:
         return cls(tuple(coeffs))
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls((0j,) * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls((1 + 0j,) + (0j,) * order)
-
-    @classmethod
     def identity(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
         """The function f(z) = z."""
         return cls.from_taylor([1.0], order=order)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        """The series cut to the given order, or zero-padded up to it."""
-        return TruncatedSeries(self.coeffs[: order + 1] + (0j,) * (order - self.order))
 
 
 def require_normalized(f: TruncatedSeries, what: str = "operation") -> None:
@@ -128,30 +112,9 @@ def _require_same_order(f: TruncatedSeries, g: TruncatedSeries) -> None:
         raise OrderMismatchError(f"series orders differ: {f.order} != {g.order}")
 
 
-def add(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """Coefficientwise sum of two series of equal order."""
-    _require_same_order(f, g)
-    return TruncatedSeries(tuple(a + b for a, b in zip(f.coeffs, g.coeffs)))
-
-
 def _fsum_complex(values) -> complex:
     values = list(values)
     return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
-
-
-def multiply(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the common order.
-
-    Each output coefficient is a correctly rounded sum of the cross
-    products, so the product is exactly commutative.
-    """
-    _require_same_order(f, g)
-    fc, gc = f.coeffs, g.coeffs
-    out = tuple(
-        _fsum_complex(fc[i] * gc[k - i] for i in range(k + 1))
-        for k in range(len(fc))
-    )
-    return TruncatedSeries(out)
 
 
 def valuation(f: TruncatedSeries) -> int | None:
@@ -204,43 +167,6 @@ def _forward_substitute(fs, gs, m: int) -> list[complex]:
         terms.extend(-gs[i] * out[j - i] for i in range(1, min(j, len(gs) - 1) + 1))
         out[j] = _fsum_complex(terms) / lead
     return out
-
-
-def evaluate(f: TruncatedSeries, z: complex) -> complex:
-    """Horner evaluation of the truncated polynomial at z.
-
-    Outside |z| < 1 the truncation error is not controlled; a
-    TruncationWarning is emitted and the polynomial value returned.
-    """
-    if abs(z) >= 1.0:
-        warnings.warn(
-            f"evaluating a truncated series at |z| = {abs(z):.6g} >= 1; "
-            "the truncation error is unbounded there",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    acc = 0j
-    for c in reversed(f.coeffs):
-        acc = acc * z + c
-    return acc
-
-
-def scale_argument(f: TruncatedSeries, c: complex, raw: bool = False) -> TruncatedSeries:
-    """Substitute z -> c*z.
-
-    raw=True returns g(z) = f(cz), i.e. c_n -> c_n * c^n.  The default
-    divides once more by c, g(z) = f(cz)/c, which keeps a normalized
-    series normalized; it needs c != 0.
-    """
-    c = complex(c)
-    if not raw and c == 0:
-        raise ZeroDivisionError("normalized argument scaling needs c != 0")
-    powers = [1 + 0j]
-    for _ in range(f.order):
-        powers.append(powers[-1] * c)
-    if raw:
-        return TruncatedSeries(tuple(a * p for a, p in zip(f.coeffs, powers)))
-    return TruncatedSeries(tuple(a * p / c for a, p in zip(f.coeffs, powers)))
 
 
 def shift_up(f: TruncatedSeries) -> TruncatedSeries:
@@ -313,7 +239,7 @@ def evaluate_rows_on_grid(coeff_rows):
 
 
 def evaluate_on_grid(f: TruncatedSeries):
-    """Vectorized evaluate() over the grid; returns (R, A) complex array.
+    """Values of f on the grid; returns an (R, A) complex array.
 
     The one-series case of evaluate_rows_on_grid.
     """
@@ -343,21 +269,29 @@ def to_json_dict(f: TruncatedSeries, kind: str = "function") -> dict:
     }
 
 
+def is_json_number(value) -> bool:
+    """True for a JSON number: an int or a float, never a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def from_json_dict(d: dict) -> TruncatedSeries:
     try:
-        order = int(d["order"])
-        raw = d["coeffs"]
-    except (KeyError, TypeError, ValueError) as exc:
+        order, raw = d["order"], d["coeffs"]
+    except (KeyError, TypeError) as exc:
         raise SeriesFormatError(f"malformed function file: {exc}") from exc
+    if not (is_json_number(order) and order % 1 == 0):
+        raise SeriesFormatError(f"function file order must be an integer, got {order!r}")
+    order = int(order)
     if order > MAX_ORDER:
         raise SeriesFormatError(f"function file order {order} exceeds the maximum {MAX_ORDER}")
+    if not isinstance(raw, list):
+        raise SeriesFormatError("function file coeffs must be a list of [re, im] pairs")
     kind = d.get("kind", "function")
     coeffs = []
     for entry in raw:
-        try:
-            re, im = float(entry[0]), float(entry[1])
-        except (TypeError, ValueError, IndexError) as exc:
-            raise SeriesFormatError(f"malformed coefficient entry {entry!r}") from exc
+        if not (isinstance(entry, list) and len(entry) == 2 and all(map(is_json_number, entry))):
+            raise SeriesFormatError(f"malformed coefficient entry {entry!r}: need [re, im] numbers")
+        re, im = float(entry[0]), float(entry[1])
         if not (math.isfinite(re) and math.isfinite(im)):
             raise SeriesFormatError(f"non-finite coefficient entry {entry!r}")
         coeffs.append(complex(re, im))
@@ -386,8 +320,3 @@ def load_function(path) -> TruncatedSeries:
             raise SeriesFormatError(f"malformed function file: {exc}") from exc
     return from_json_dict(doc)
 
-
-def dump_function(f: TruncatedSeries, path, kind: str = "function") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(f, kind=kind), fh, indent=1)
-        fh.write("\n")

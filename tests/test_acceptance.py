@@ -16,12 +16,12 @@ import time
 import numpy as np
 import pytest
 
-from qstarlike import series as ser
+import reference
 from qstarlike.classes import (
     DecompositionWeights,
     derivative_distortion_bounds,
     distortion_bounds,
-    distortion_equality_function,
+    distortion_coefficient,
     extremal_function,
     extreme_point_compose,
     extreme_point_decompose,
@@ -31,13 +31,11 @@ from qstarlike.classes import (
 )
 from qstarlike.conic import ClassParams, conic_coefficients
 from qstarlike.hankel import (
-    CaratheodoryCoefficients,
     ConicCoefficients,
-    coefficients_from_schwarz,
+    SchwarzTriple,
     fekete_szego_bound_complex,
     fekete_szego_bound_real,
     fekete_szego_breakpoint,
-    hankel_determinant,
 )
 from qstarlike.qcalc import (
     _symmetric_q_number_any,
@@ -77,7 +75,7 @@ class TestCriterion01OperatorIdentities:
                 tail = rng.uniform(-1, 1, order - 2) + 1j * rng.uniform(-1, 1, order - 2)
                 f = TruncatedSeries.from_taylor([1.0, *tail], order=order)
                 lhs = symmetric_q_derivative(f, q)
-                rhs = ser.scale_argument(q_derivative(f, q * q), 1.0 / q, raw=True)
+                rhs = reference.scaled(q_derivative(f, q * q), 1.0 / q)
                 for a, b in zip(lhs.coeffs, rhs.coeffs):
                     gap = abs(a - b) / max(1.0, abs(a), abs(b))
                     worst = max(worst, gap)
@@ -85,13 +83,13 @@ class TestCriterion01OperatorIdentities:
 
                 tail_g = rng.uniform(-1, 1, order - 2) + 1j * rng.uniform(-1, 1, order - 2)
                 g = TruncatedSeries.from_taylor([1.0, *tail_g], order=order)
-                left = symmetric_q_derivative(ser.multiply(f, g), q)
+                left = symmetric_q_derivative(reference.multiply(f, g), q)
                 m = order - 1
-                right = ser.add(
-                    ser.multiply(ser.scale_argument(g, 1.0 / q, raw=True).truncate(m),
-                                 symmetric_q_derivative(f, q)),
-                    ser.multiply(ser.scale_argument(f, q, raw=True).truncate(m),
-                                 symmetric_q_derivative(g, q)),
+                right = reference.add(
+                    reference.multiply(reference.scaled(g, 1.0 / q, m),
+                                       symmetric_q_derivative(f, q)),
+                    reference.multiply(reference.scaled(f, q, m),
+                                       symmetric_q_derivative(g, q)),
                 )
                 for a, b in zip(left.coeffs, right.coeffs):
                     gap = abs(a - b) / max(1.0, abs(a), abs(b))
@@ -131,13 +129,13 @@ class TestCriterion02QNumberLimits:
 class TestCriterion03KoebeAnchor:
     def test_koebe_coefficients_and_hankel(self):
         P = ConicCoefficients(2.0, 2.0, 2.0)
-        B = CaratheodoryCoefficients(2.0, 2.0, 2.0)
-        a2, a3, a4 = coefficients_from_schwarz(P, B, 1.0)
+        # B1 = 2 forces (B1, B2, B3) = (2, 2, 2) whatever x and zeta are
+        a2, a3, a4 = reference.coefficients_at(P, SchwarzTriple(2.0, 0.0, 0.0), 1.0)
         assert abs(a2 - 2) <= 1e-12
         assert abs(a3 - 3) <= 1e-12
         assert abs(a4 - 4) <= 1e-12
-        h22 = hankel_determinant([1, a2, a3, a4], 2, 2)
-        h21 = hankel_determinant([1, a2, a3, a4], 2, 1)
+        h22 = a2 * a4 - a3 * a3  # H2(2), the determinant of [[a2, a3], [a3, a4]]
+        h21 = a3 - a2 * a2  # H2(1), the determinant of [[1, a2], [a2, a3]]
         assert h22 == -1 + 0j
         assert h21 == -1 + 0j
         report("criterion 3 Koebe anchor", True,
@@ -198,9 +196,9 @@ class TestCriterion06DistortionEnvelope:
                 worst = max(worst, float(dvals.max()) - dhi, dlo - float(dvals.min()))
                 assert dvals.max() <= dhi + 1e-9
                 assert dvals.min() >= dlo - 1e-9
-            eq = distortion_equality_function(p, order)
+            eq = TruncatedSeries.from_taylor([1.0, distortion_coefficient(p)], order)  # z + c z^2
             for r in (0.3, 0.9):
-                gap = abs(abs(ser.evaluate(eq, r)) - distortion_bounds(r, p)[1])
+                gap = abs(abs(reference.evaluate(eq, r)) - distortion_bounds(r, p)[1])
                 assert gap <= 1e-12
         elapsed = time.time() - t0
         report("criterion 6 distortion envelope",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from qstarlike import classes as cls
 from qstarlike.classes import (
     CERTIFIED_INCONCLUSIVE,
@@ -19,7 +20,6 @@ from qstarlike.classes import (
     derivative_distortion_bounds,
     distortion_bounds,
     distortion_coefficient,
-    distortion_equality_function,
     extremal_function,
     extreme_point_compose,
     extreme_point_decompose,
@@ -188,11 +188,10 @@ class TestSampledMembership:
         # rescan manually: the reported witness must be the first failing
         # (radius, angle) pair in scan order
         from qstarlike.qcalc import symmetric_q_derivative
-        from qstarlike.series import evaluate
         deriv = symmetric_q_derivative(f, P_HALF.q)
         for i, j in np.ndindex(len(GRID_RADII), GRID_ANGLES):
             z = grid_point(i, j)
-            w = z * evaluate(deriv, z) / evaluate(f, z)
+            w = z * reference.evaluate(deriv, z) / reference.evaluate(f, z)
             margin = w.real - P_HALF.k * abs(w - 1) - P_HALF.alpha
             if margin <= 0:
                 assert abs(z - verdict.witness) < 1e-14
@@ -301,11 +300,11 @@ class TestDistortion:
             assert lo >= 0
 
     def test_equality_function_attains_upper(self):
-        from qstarlike.series import evaluate
+        # z + c z^2 reaches the upper envelope r + c r^2 at z = r
         for p in (P_HALF, P_CLASSICAL):
-            f = distortion_equality_function(p)
+            f = TruncatedSeries.from_taylor([1.0, distortion_coefficient(p)])
             for r in (0.2, 0.5, 0.9):
-                assert abs(evaluate(f, r)) == pytest.approx(
+                assert abs(reference.evaluate(f, r)) == pytest.approx(
                     distortion_bounds(r, p)[1], abs=1e-12
                 )
 

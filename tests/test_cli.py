@@ -623,3 +623,46 @@ class TestFunctionFileOrderCap:
         assert code == EXIT_ERROR
         assert_one_error_line(out, err, f"order {MAX_EXTREMAL_ORDER + 1}", str(MAX_EXTREMAL_ORDER))
         assert "Traceback" not in err
+
+
+IN_VERBS = {
+    "member": ("member", "--q", "0.5", "--k", "0", "--alpha", "0", "--in"),
+    "deriv": ("deriv", "--q", "0.5", "--in"),
+    "decompose": ("decompose", "--q", "0.5", "--k", "0", "--alpha", "0", "--in"),
+}
+LOOSE_FUNCTION_FILES = {
+    # (document, a word the one error line must name)
+    "coeffs-not-a-list": ({"order": 2, "coeffs": 5}, "coeffs"),
+    "string-entries": ({"order": 2, "coeffs": ["10", "20"]}, "coefficient entry"),
+    "dict-entry": ({"order": 2, "coeffs": [{"0": 1, "1": 0}, [0.5, 0]]}, "coefficient entry"),
+    "bool-entry": ({"order": 2, "coeffs": [[True, 0], [0.5, 0]]}, "coefficient entry"),
+    "three-number-entry": ({"order": 2, "coeffs": [[1, 0, 9], [0.5, 0]]}, "coefficient entry"),
+    "fractional-order": ({"order": 2.7, "coeffs": [[1, 0], [0.5, 0]]}, "order"),
+    "bool-order": ({"order": True, "coeffs": [[1, 0]]}, "order"),
+}
+LOOSE_CONIC_FILES = {
+    "string-P": ({"P": "123"}, "three numbers"),
+    "bool-P": ({"P": [True, 1.0, 1.0]}, "three numbers"),
+    "dict-P": ({"P": {"P1": 1, "P2": 1, "P3": 1}}, "three numbers"),
+}
+LOOSE_FILE_CASES = [
+    pytest.param(IN_VERBS[verb], doc, word, id=f"{verb}-{name}")
+    for verb in IN_VERBS for name, (doc, word) in LOOSE_FUNCTION_FILES.items()
+] + [
+    pytest.param(("hankel-bound", "--q", "0.5", "--k", "2", "--alpha", "0", "--conic"),
+                 doc, word, id=f"hankel-bound-{name}")
+    for name, (doc, word) in LOOSE_CONIC_FILES.items()
+]
+
+
+class TestStrictFileReading:
+    # function and conic files are read as written or refused: a string, a
+    # bool, an object or an entry of the wrong length is never converted, and
+    # a fractional order is never rounded; the error line names what is wrong
+    @pytest.mark.parametrize("argv, doc, word", LOOSE_FILE_CASES)
+    def test_is_one_line_error(self, capsys, tmp_path, argv, doc, word):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == EXIT_ERROR
+        assert_one_error_line(out, err, word)

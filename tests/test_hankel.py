@@ -6,20 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import coefficients_at
 from qstarlike.conic import ConicCoefficients, conic_coefficients
 from qstarlike.hankel import (
-    CaratheodoryCoefficients,
     HankelQuantities,
     SchwarzTriple,
     caratheodory_b2_b3,
-    caratheodory_from_parameters,
-    coefficients_from_schwarz,
     fekete_szego_bound_complex,
     fekete_szego_bound_real,
     fekete_szego_breakpoint,
     h2_bound,
     h2_bound_from_quantities,
-    hankel_determinant,
     hankel_quantities,
     printed_corollary_values,
     quadratic_max_on_interval,
@@ -36,19 +33,19 @@ class TestCaratheodoryParametrization:
     def test_saturated_b1_fixes_everything(self):
         for x in (0.0, 1.0, -0.5 + 0.5j):
             for zeta in (0.0, 1.0, 1j):
-                B = caratheodory_from_parameters(SchwarzTriple(2.0, x, zeta))
-                assert B.B2 == pytest.approx(2.0, abs=1e-15)
-                assert B.B3 == pytest.approx(2.0, abs=1e-15)
+                b2, b3 = caratheodory_b2_b3(2.0, x, zeta)
+                assert b2 == pytest.approx(2.0, abs=1e-15)
+                assert b3 == pytest.approx(2.0, abs=1e-15)
 
     def test_pure_x_direction(self):
-        B = caratheodory_from_parameters(SchwarzTriple(0.0, 1.0, 0.5j))
-        assert B.B2 == pytest.approx(2.0, abs=1e-15)
-        assert B.B3 == pytest.approx(0.0, abs=1e-15)
+        b2, b3 = caratheodory_b2_b3(0.0, 1.0, 0.5j)
+        assert b2 == pytest.approx(2.0, abs=1e-15)
+        assert b3 == pytest.approx(0.0, abs=1e-15)
 
     def test_pure_zeta_direction(self):
-        B = caratheodory_from_parameters(SchwarzTriple(0.0, 0.0, 1.0))
-        assert B.B2 == pytest.approx(0.0, abs=1e-15)
-        assert B.B3 == pytest.approx(2.0, abs=1e-15)
+        b2, b3 = caratheodory_b2_b3(0.0, 0.0, 1.0)
+        assert b2 == pytest.approx(0.0, abs=1e-15)
+        assert b3 == pytest.approx(2.0, abs=1e-15)
 
     def test_bounds_hold_on_bulk_random_sample(self):
         rng = np.random.default_rng(12)
@@ -66,24 +63,22 @@ class TestCaratheodoryParametrization:
         with pytest.raises(ValueError):
             SchwarzTriple(1.0, 1.1, 0.0)
         with pytest.raises(ValueError):
-            CaratheodoryCoefficients(2.5, 0.0, 0.0)
+            SchwarzTriple(1.0, 0.0, 1.1j)
 
 
 class TestCoefficientsFromSchwarz:
     def test_zero_data_gives_identity(self):
-        B = CaratheodoryCoefficients(0.0, 0.0, 0.0)
-        assert coefficients_from_schwarz(P_KOEBE, B, 0.7) == (0j, 0j, 0j)
+        assert coefficients_at(P_KOEBE, SchwarzTriple(0.0, 0.0, 0.0), 0.7) == (0j, 0j, 0j)
 
     def test_koebe_anchor(self):
-        B = CaratheodoryCoefficients(2.0, 2.0, 2.0)
-        a2, a3, a4 = coefficients_from_schwarz(P_KOEBE, B, 1.0)
+        # B1 = 2 forces B2 = B3 = 2 whatever x and zeta are
+        a2, a3, a4 = coefficients_at(P_KOEBE, SchwarzTriple(2.0, 0.0, 0.0), 1.0)
         assert abs(a2 - 2) < 1e-12
         assert abs(a3 - 3) < 1e-12
         assert abs(a4 - 4) < 1e-12
 
     def test_a2_hand_value(self):
-        B = CaratheodoryCoefficients(2.0, 0.0, 0.0)
-        a2, _, _ = coefficients_from_schwarz(P_KOEBE, B, 0.5)
+        a2, _, _ = coefficients_at(P_KOEBE, SchwarzTriple(2.0, 0.0, 0.0), 0.5)
         assert a2 == pytest.approx(4.0 / 3.0, rel=1e-14)  # q2 = 1.5
 
     def test_symmetric_gaps(self):
@@ -92,29 +87,6 @@ class TestCoefficientsFromSchwarz:
         assert q3 == pytest.approx(4.25, abs=1e-14)
         assert q4 == pytest.approx(9.625, abs=1e-14)
         assert symmetric_gaps(1.0) == pytest.approx((1.0, 2.0, 3.0))
-
-
-class TestHankelDeterminant:
-    def test_first_hankel_koebe(self):
-        assert hankel_determinant([1, 2, 3], 2, 1) == pytest.approx(-1 + 0j)
-
-    def test_second_hankel_koebe(self):
-        assert hankel_determinant([1, 2, 3, 4], 2, 2) == pytest.approx(-1 + 0j)
-
-    def test_one_by_one(self):
-        assert hankel_determinant([1, 5j, -2], 1, 3) == pytest.approx(-2 + 0j)
-        assert hankel_determinant([7], 1, 1) == pytest.approx(1 + 0j)  # a1 forced to 1
-
-    def test_insufficient_coefficients(self):
-        with pytest.raises(ValueError):
-            hankel_determinant([1, 2], 2, 2)
-
-    def test_three_by_three_against_numpy(self):
-        rng = np.random.default_rng(3)
-        a = [1.0 + 0j] + list(rng.normal(size=6) + 1j * rng.normal(size=6))
-        ours = hankel_determinant(a, 3, 1)
-        m = np.array([[a[i + j] for j in range(3)] for i in range(3)])
-        assert ours == pytest.approx(complex(np.linalg.det(m)), rel=1e-12)
 
 
 class TestHankelQuantities:

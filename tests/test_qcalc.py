@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
+import reference
 from qstarlike import qcalc
-from qstarlike import series as ser
 from qstarlike.qcalc import (
     _symmetric_q_number_any,
     q_derivative,
@@ -150,7 +150,7 @@ class TestSymmetricQDerivative:
         for _ in range(100):
             f = rand_normalized(rng)
             lhs = symmetric_q_derivative(f, q)
-            rhs = ser.scale_argument(q_derivative(f, q * q), 1.0 / q, raw=True)
+            rhs = reference.scaled(q_derivative(f, q * q), 1.0 / q)
             assert_coeffs_close(lhs, rhs, 1e-12)
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
@@ -159,13 +159,11 @@ class TestSymmetricQDerivative:
         for _ in range(100):
             f = rand_normalized(rng)
             g = rand_normalized(rng)
-            lhs = symmetric_q_derivative(ser.multiply(f, g), q)
+            lhs = symmetric_q_derivative(reference.multiply(f, g), q)
             m = f.order - 1
-            t1 = ser.multiply(ser.scale_argument(g, 1.0 / q, raw=True).truncate(m),
-                              symmetric_q_derivative(f, q))
-            t2 = ser.multiply(ser.scale_argument(f, q, raw=True).truncate(m),
-                              symmetric_q_derivative(g, q))
-            assert_coeffs_close(lhs, ser.add(t1, t2), 1e-12)
+            t1 = reference.multiply(reference.scaled(g, 1.0 / q, m), symmetric_q_derivative(f, q))
+            t2 = reference.multiply(reference.scaled(f, q, m), symmetric_q_derivative(g, q))
+            assert_coeffs_close(lhs, reference.add(t1, t2), 1e-12)
 
     def test_linearity(self):
         # exact up to the one reordering of multiply-vs-add per coefficient
@@ -174,16 +172,16 @@ class TestSymmetricQDerivative:
             f = rand_normalized(rng)
             g = rand_normalized(rng)
             q = 0.6
-            left = symmetric_q_derivative(ser.add(f, g), q)
-            right = ser.add(symmetric_q_derivative(f, q), symmetric_q_derivative(g, q))
+            left = symmetric_q_derivative(reference.add(f, g), q)
+            right = reference.add(symmetric_q_derivative(f, q), symmetric_q_derivative(g, q))
             assert_coeffs_close(left, right, 1e-15)
 
     def test_linearity_exact_on_dyadic_coefficients(self):
         f = TruncatedSeries.from_taylor([1, 0.5, -0.25, 0.125], order=8)
         g = TruncatedSeries.from_taylor([1, 0.25, 0.5, -0.75], order=8)
         q = 0.5
-        left = symmetric_q_derivative(ser.add(f, g), q)
-        right = ser.add(symmetric_q_derivative(f, q), symmetric_q_derivative(g, q))
+        left = symmetric_q_derivative(reference.add(f, g), q)
+        right = reference.add(symmetric_q_derivative(f, q), symmetric_q_derivative(g, q))
         assert left == right
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from qstarlike import series as ser
 from qstarlike.classes import extremal_function
 from qstarlike.conic import ClassParams
@@ -17,7 +18,6 @@ from qstarlike.series import (
     SeriesFormatError,
     SingularDivisionError,
     TruncatedSeries,
-    TruncationWarning,
     grid_point,
 )
 
@@ -54,67 +54,62 @@ class TestBasics:
         with pytest.raises(ValueError):
             TruncatedSeries((0j, complex("inf")))
 
-    def test_truncate_cuts_and_pads(self):
-        f = S(1, 0.5, 0.25)
-        assert f.truncate(2) == S(1, 0.5)
-        assert f.truncate(3) == f
-        assert f.truncate(6) == S(1, 0.5, 0.25, order=6)
+
+# The series algebra below lives in tests/reference.py, where the operator
+# identities and grid checks use it as an independent reference; these
+# classes pin its hand values and algebraic laws.
 
 
 class TestAdd:
     def test_cancellation(self):
-        assert ser.add(S(1, 1), S(1, -1)) == S(2, 0)
+        assert reference.add(S(1, 1), S(1, -1)) == S(2, 0)
 
     def test_zero_identity(self):
         f = S(1, 0.25, -0.5)
-        assert ser.add(f, TruncatedSeries.zero(f.order)) == f
+        assert reference.add(f, TruncatedSeries((0j,) * (f.order + 1))) == f
 
     def test_hand_sum(self):
-        assert ser.add(S(1, 0.5), S(1, 0.25)) == S(2, 0.75)
-
-    def test_order_mismatch(self):
-        with pytest.raises(OrderMismatchError):
-            ser.add(S(1, 1), S(1, 1, order=5))
+        assert reference.add(S(1, 0.5), S(1, 0.25)) == S(2, 0.75)
 
     @given(taylors, taylors, taylors)
     def test_reassociation(self, a, b, c):
         n = max(len(a), len(b), len(c))
         f, g, h = (TruncatedSeries.from_taylor(t, order=n + 1) for t in (a, b, c))
-        left = ser.add(ser.add(f, g), h)
-        right = ser.add(f, ser.add(g, h))
+        left = reference.add(reference.add(f, g), h)
+        right = reference.add(f, reference.add(g, h))
         assert max_diff(left, right) <= 1e-15 * max(1.0, max(abs(c) for c in left.coeffs))
 
 
 class TestMultiply:
     def test_monomials_truncate(self):
         z = S(1, order=1)
-        assert ser.multiply(z, z) == TruncatedSeries((0j, 0j))  # z^2 truncated away
+        assert reference.multiply(z, z) == TruncatedSeries((0j, 0j))  # z^2 truncated away
         z2 = S(1, order=2)
-        assert ser.multiply(z2, z2) == TruncatedSeries((0j, 0j, 1 + 0j))
+        assert reference.multiply(z2, z2) == TruncatedSeries((0j, 0j, 1 + 0j))
 
     def test_hand_product(self):
         f = S(1, 1, order=4)
         g = S(1, -1, order=4)
-        assert ser.multiply(f, g) == TruncatedSeries((0j, 0j, 1 + 0j, 0j, -1 + 0j))
+        assert reference.multiply(f, g) == TruncatedSeries((0j, 0j, 1 + 0j, 0j, -1 + 0j))
 
     def test_one_identity(self):
         f = S(1, 0.3, -0.7, 0.1)
-        assert ser.multiply(f, TruncatedSeries.one(f.order)) == f
+        assert reference.multiply(f, TruncatedSeries((1 + 0j,) + (0j,) * f.order)) == f
 
     @given(taylors, taylors)
     def test_commutative_exact(self, a, b):
         n = max(len(a), len(b))
         f = TruncatedSeries.from_taylor(a, order=n + 1)
         g = TruncatedSeries.from_taylor(b, order=n + 1)
-        assert ser.multiply(f, g) == ser.multiply(g, f)
+        assert reference.multiply(f, g) == reference.multiply(g, f)
 
     @given(taylors, taylors, taylors)
     @settings(max_examples=60)
     def test_distributes_over_add(self, a, b, c):
         n = max(len(a), len(b), len(c))
         f, g, h = (TruncatedSeries.from_taylor(t, order=n + 1) for t in (a, b, c))
-        left = ser.multiply(f, ser.add(g, h))
-        right = ser.add(ser.multiply(f, g), ser.multiply(f, h))
+        left = reference.multiply(f, reference.add(g, h))
+        right = reference.add(reference.multiply(f, g), reference.multiply(f, h))
         scale = max(1.0, max(abs(v) for v in left.coeffs), max(abs(v) for v in right.coeffs))
         assert max_diff(left, right) <= 1e-13 * scale
 
@@ -139,10 +134,14 @@ class TestDivide:
 
     def test_zero_divisor(self):
         with pytest.raises(SingularDivisionError):
-            ser.divide(S(1, 1), TruncatedSeries.zero(2))
+            ser.divide(S(1, 1), TruncatedSeries((0j, 0j, 0j)))
+
+    def test_order_mismatch(self):
+        with pytest.raises(OrderMismatchError):
+            ser.divide(S(1, 1), S(1, 1, order=5))
 
     def test_pole_rejected(self):
-        one = TruncatedSeries.one(3)
+        one = TruncatedSeries((1 + 0j, 0j, 0j, 0j))
         z = S(1, order=3)
         with pytest.raises(SingularDivisionError):
             ser.divide(one, z)
@@ -158,7 +157,7 @@ class TestDivide:
             fc[:, 0] = 0.5 + rng.uniform(0, 1, 2)  # |leading| >= 0.5
             f = TruncatedSeries.from_taylor(fc[0], order=n + 1)
             g = TruncatedSeries.from_taylor(fc[1], order=n + 1)
-            back = ser.divide(ser.multiply(f, g), g)
+            back = ser.divide(reference.multiply(f, g), g)
             worst = max(
                 abs(a - b) / max(1.0, abs(a))
                 for a, b in zip(f.coeffs, back.coeffs)
@@ -168,16 +167,10 @@ class TestDivide:
 
 class TestEvaluate:
     def test_identity(self):
-        assert ser.evaluate(S(1), 0.5) == 0.5
+        assert reference.evaluate(S(1), 0.5) == 0.5
 
     def test_hand_value(self):
-        assert ser.evaluate(S(1, 1), 0.5) == pytest.approx(0.75, abs=1e-15)
-
-    def test_boundary_warns(self):
-        f = S(1, -0.25)
-        with pytest.warns(TruncationWarning):
-            value = ser.evaluate(f, 1.0)
-        assert value == pytest.approx(0.75, abs=1e-15)
+        assert reference.evaluate(S(1, 1), 0.5) == pytest.approx(0.75, abs=1e-15)
 
     def test_truncation_tail_bound(self):
         rng = np.random.default_rng(11)
@@ -188,34 +181,25 @@ class TestEvaluate:
             low = TruncatedSeries.from_taylor(full[:n_low], order=n_low)
             high = TruncatedSeries.from_taylor(full, order=n_high)
             z = r * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            gap = abs(ser.evaluate(low, z) - ser.evaluate(high, z))
+            gap = abs(reference.evaluate(low, z) - reference.evaluate(high, z))
             assert gap <= C * r ** (n_low + 1) / (1 - r) + 1e-15
 
 
 class TestScaleArgument:
     def test_unit_scale(self):
         f = S(1, 0.5, -0.25)
-        assert ser.scale_argument(f, 1.0) == f
-        assert ser.scale_argument(f, 1.0, raw=True) == f
+        assert reference.scaled(f, 1.0) == f
 
     def test_raw_substitution(self):
         f = S(1, 1)
-        assert ser.scale_argument(f, 2.0, raw=True) == S(2, 4)
+        assert reference.scaled(f, 2.0) == S(2, 4)
 
     def test_monomial_raw(self):
         q = 0.4
         n = 5
         f = TruncatedSeries.from_taylor([0, 0, 0, 0, 1], order=n)
-        g = ser.scale_argument(f, 1.0 / q, raw=True)
+        g = reference.scaled(f, 1.0 / q)
         assert abs(g.coeffs[n] - q ** (-n)) < 1e-12 * q ** (-n)
-
-    def test_normalized_mode_keeps_normalization(self):
-        f = S(1, 0.5, 0.25)
-        g = ser.scale_argument(f, 0.3 + 0.1j)
-        assert g.is_normalized
-        # g(z) = f(cz)/c
-        c = 0.3 + 0.1j
-        assert abs(ser.evaluate(g, 0.5) - ser.evaluate(f, c * 0.5) / c) < 1e-15
 
 
 class TestScanGrid:
@@ -251,14 +235,14 @@ class TestScanGrid:
             for (i, j), value in np.ndenumerate(vals):
                 z = grid_point(i, j)
                 tol = 4 * (f.order + 1) * np.finfo(float).eps * float(mags @ abs(z) ** powers)
-                assert abs(value - ser.evaluate(f, z)) <= tol, (f.order, z)
+                assert abs(value - reference.evaluate(f, z)) <= tol, (f.order, z)
 
 
 class TestJson:
     def test_roundtrip(self, tmp_path):
         f = S(1, 0.5, -0.25j, order=5)
         path = tmp_path / "f.json"
-        ser.dump_function(f, path)
+        path.write_text(json.dumps(ser.to_json_dict(f)))
         assert ser.load_function(path) == f
         doc = json.loads(path.read_text())
         assert doc["coeffs"][0] == [1.0, 0.0]  # coeffs[0] is a1
@@ -268,7 +252,7 @@ class TestJson:
     def test_derivative_kind_roundtrip(self, tmp_path):
         g = TruncatedSeries((1 + 0j, 1.5 + 0j, 0j))
         path = tmp_path / "g.json"
-        ser.dump_function(g, path, kind="derivative")
+        path.write_text(json.dumps(ser.to_json_dict(g, kind="derivative")))
         assert ser.load_function(path) == g
 
     def test_deep_nesting_is_a_format_error(self, tmp_path):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from qstarlike import verify
 from qstarlike.classes import (
     DecompositionWeights,
@@ -56,7 +57,7 @@ from qstarlike.classes import (
 )
 from qstarlike.conic import conic_margin
 from qstarlike.qcalc import symmetric_q_derivative
-from qstarlike.series import GRID_RADII, TruncatedSeries, evaluate
+from qstarlike.series import GRID_RADII, TruncatedSeries
 
 P00 = conic_coefficients(0.0, 0.0)
 
@@ -205,13 +206,8 @@ class TestOracleScans:
         assert oracle <= brute.max() + allowance.max()
 
     def test_argmax_value_matches_reported_max(self):
-        from qstarlike.hankel import (
-            caratheodory_from_parameters,
-            coefficients_from_schwarz,
-        )
         res = oracle_h2_max(P00, 0.8)
-        B = caratheodory_from_parameters(res.argmax)
-        a2, a3, a4 = coefficients_from_schwarz(P00, B, 0.8)
+        a2, a3, a4 = reference.coefficients_at(P00, res.argmax, 0.8)
         assert abs(a2 * a4 - a3 * a3) == pytest.approx(res.value, rel=1e-12)
 
     def test_fs_subset_dominance(self):
@@ -370,10 +366,9 @@ class TestFeketeSzegoOracle:
             assert res.argmax.B1 in (0.0, 2.0)
 
     def test_argmax_attains_value(self):
-        from qstarlike.hankel import caratheodory_from_parameters, coefficients_from_schwarz
         for P, q, mu in _fs_cases():
             res = oracle_fs_max(mu, P, q)
-            a2, a3, _ = coefficients_from_schwarz(P, caratheodory_from_parameters(res.argmax), q)
+            a2, a3, _ = reference.coefficients_at(P, res.argmax, q)
             assert abs(a3 - mu * a2 * a2) == pytest.approx(res.value, rel=1e-13)
 
 
@@ -484,7 +479,6 @@ class TestDistortionOracle:
         # f_n = z - c_n z^n reaches r + c_n r^n and 1 + n c_n r^(n-1) where
         # z^(n-1) = -r^(n-1); members, convex combinations of the f_n, stay below
         from qstarlike.classes import extremal_function, random_certified_member
-        from qstarlike.series import evaluate
         r = 0.9
         rng = np.random.default_rng(5)
         z = r * np.exp(2j * np.pi * np.arange(96) / 96)
@@ -496,7 +490,7 @@ class TestDistortionOracle:
             for n in range(2, 33):
                 f = extremal_function(n, p)
                 w = r * np.exp(1j * math.pi / (n - 1))
-                growth.append(abs(evaluate(f, w)))
+                growth.append(abs(reference.evaluate(f, w)))
                 slope.append(abs(1.0 + n * f.a(n) * w ** (n - 1)))
             assert f_max == pytest.approx(max(growth), rel=1e-14)
             assert df_max == pytest.approx(max(slope), rel=1e-14)
@@ -585,7 +579,8 @@ class TestExactSufficiencyOracle:
                 f = random_certified_member(p, rng)
                 verdict = sampled_membership(f, p)
                 assert verdict.certified == CERTIFIED_INCONCLUSIVE
-                w = edge * evaluate(symmetric_q_derivative(f, p.q), edge) / evaluate(f, edge)
+                w = (edge * reference.evaluate(symmetric_q_derivative(f, p.q), edge)
+                     / reference.evaluate(f, edge))
                 assert verdict.margin == pytest.approx(conic_margin(w, p.k, p.alpha),
                                                        rel=1e-12, abs=1e-15)
                 assert verdict.margin >= _margin_at_one(f, p)
