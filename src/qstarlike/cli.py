@@ -9,12 +9,18 @@ embeds the tool version plus the full parameter set.
 Exit codes: 0 success / all verified; 2 membership witness found or
 ledger contains violations; 1 usage or IO error (single-line diagnostic
 naming the offending flag).
+
+Each input is checked once: a flag's range is its argparse type, and the
+--in, --conic and --points files are read by _read_json alone, with every
+number converted by series.json_real.  Only rules that join two flags are
+left to the handlers.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv as csv_module
+import dataclasses
 import io
 import json
 import math
@@ -90,44 +96,68 @@ def _payload(params: dict, **body) -> dict:
     return {"tool": "qstarlike", "version": __version__, "params": params, **body}
 
 
-# --- flag validation ---------------------------------------------------------
+# --- input checks: argparse names the flag in each refusal ("argument --k: ...")
 
 
-def _check_finite(flag: str, value: float | None) -> float | None:
-    if value is not None and not math.isfinite(value):
-        raise CliError(f"--{flag} must be finite, got {value}")
-    return value
+def _number_flag(base, accept, must: str):
+    """An argparse type: base(text) when accept holds for it, else 'must ...'."""
+    def convert(text: str):
+        try:
+            value = base(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {base.__name__} value: {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must {must}, got {value}")
+        return value
+    return convert
 
 
-def _check_q(q: float) -> float:
-    if not 0.0 < q <= 1.0:
-        raise CliError(f"--q must lie in (0, 1], got {q}")
+_finite = _number_flag(float, math.isfinite, "be finite")
+_k_flag = _number_flag(float, lambda k: math.isfinite(k) and k >= 0.0, "be finite and nonnegative")
+_unit_flag = _number_flag(float, lambda x: 0.0 <= x < 1.0, "lie in [0, 1)")
+_index_flag = _number_flag(int, lambda n: n >= 1, "be at least 1")
+_q_range = _number_flag(float, lambda q: 0.0 < q <= 1.0, "lie in (0, 1]")
+
+
+def _q_flag(text: str) -> float:
+    q = _q_range(text)
     if q < qcalc.Q_CONDITIONING_FLOOR:
-        print(
-            f"warning: q={q} is below {qcalc.Q_CONDITIONING_FLOOR}; symmetric q-numbers "
-            "grow like q**-(n-1) and may overflow at moderate n",
-            file=sys.stderr,
-        )
+        print(f"warning: q={q} is below {qcalc.Q_CONDITIONING_FLOOR}; symmetric q-numbers "
+              "grow like q**-(n-1) and may overflow at moderate n", file=sys.stderr)
     return q
 
 
-def _class_params(args) -> ClassParams:
-    q = _check_q(args.q)
-    k, alpha = args.k, args.alpha
-    if k < 0:
-        raise CliError(f"--k must be nonnegative, got {k}")
-    if not 0.0 <= alpha < 1.0:
-        raise CliError(f"--alpha must lie in [0, 1), got {alpha}")
-    return ClassParams(q=q, k=k, alpha=alpha)
-
-
-def _read_json(path: str, flag: str):
-    """The document in the --flag file; unreadable, malformed or too deeply nested is a CliError."""
+def _read_json(path: str, flag: str, parse):
+    """parse(document) of the --flag file; any fault is one CliError naming the flag and path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+            doc = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"--{flag} file {path!r} is unreadable: {exc}") from exc
+    try:
+        return parse(doc)
+    except ValueError as exc:
+        raise CliError(f"--{flag} file {path!r} is malformed: {exc}") from exc
+
+
+def _conic_from_json(doc) -> ConicCoefficients:
+    P = doc.get("P") if isinstance(doc, dict) else None
+    if not (isinstance(P, list) and len(P) == 3):
+        raise ValueError('need {"P": [P1, P2, P3]} with three numbers')
+    return ConicCoefficients(*(ser.json_real(v, f"P{i} of the three numbers")
+                               for i, v in enumerate(P, start=1)))
+
+
+def _points_from_json(doc) -> tuple[ClassParams, ...]:
+    if not isinstance(doc, list):
+        raise ValueError("need a JSON list of {q, k, alpha} objects")
+    points = []
+    for i, entry in enumerate(doc):
+        if not (isinstance(entry, dict) and {"q", "k", "alpha"} <= entry.keys()):
+            raise ValueError(f"entry {i} is not a {{q, k, alpha}} object")
+        points.append(ClassParams(*(ser.json_real(entry[name], f"entry {i} {name}")
+                                    for name in ("q", "k", "alpha"))))
+    return tuple(points)
 
 
 def _user_conic(args) -> ConicCoefficients | None:
@@ -136,11 +166,7 @@ def _user_conic(args) -> ConicCoefficients | None:
     if args.conic and given:
         raise CliError("--conic and --P1/--P2/--P3 are mutually exclusive")
     if args.conic:
-        block = _read_json(args.conic, "conic")
-        P = block.get("P") if isinstance(block, dict) else None
-        if not (isinstance(P, list) and len(P) == 3 and all(map(ser.is_json_number, P))):
-            raise CliError('--conic file must carry {"P": [P1, P2, P3]} with three numbers')
-        return ConicCoefficients(*map(float, P))
+        return _read_json(args.conic, "conic", _conic_from_json)
     if not given:
         return None
     if len(given) != 3:
@@ -152,10 +178,9 @@ def _user_conic(args) -> ConicCoefficients | None:
 
 
 def _cmd_qnum(args) -> int:
-    q = _check_q(args.q)
-    n = _check_finite("n", args.n)
+    q, n = args.q, args.n
     if args.symmetric:
-        if n < 1 or not float(n).is_integer():
+        if n < 1 or not n.is_integer():
             raise CliError(f"--n must be a positive integer for symmetric q-numbers, got {n}")
         value = qcalc.symmetric_q_number(int(n), q)
     else:
@@ -166,8 +191,8 @@ def _cmd_qnum(args) -> int:
 
 
 def _cmd_deriv(args) -> int:
-    q = _check_q(args.q)
-    f = ser.load_function(args.in_path)
+    q = args.q
+    f = _read_json(args.in_path, "in", ser.from_json_dict)
     op = qcalc.symmetric_q_derivative if args.symmetric else qcalc.q_derivative
     result = op(f, q)
     doc = ser.to_json_dict(result, kind="derivative")
@@ -178,8 +203,8 @@ def _cmd_deriv(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    p = _class_params(args)
-    f = ser.load_function(args.in_path)
+    p = ClassParams(args.q, args.k, args.alpha)
+    f = _read_json(args.in_path, "in", ser.from_json_dict)
     from . import classes as cls
 
     sufficient = cls.sufficient_membership(f, p)
@@ -210,10 +235,8 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    p = _class_params(args)
+    p = ClassParams(args.q, args.k, args.alpha)
     n = args.n
-    if n < 1:
-        raise CliError(f"--n must be at least 1, got {n}")
     from . import classes as cls
 
     f = cls.extremal_function(n, p, order=args.order)
@@ -226,10 +249,8 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_distortion(args) -> int:
-    p = _class_params(args)
+    p = ClassParams(args.q, args.k, args.alpha)
     r = args.r
-    if not 0.0 <= r < 1.0:
-        raise CliError(f"--r must lie in [0, 1), got {r}")
     from . import classes as cls
 
     lo, hi = cls.distortion_bounds(r, p)
@@ -248,8 +269,8 @@ def _cmd_distortion(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    p = _class_params(args)
-    f = ser.load_function(args.in_path)
+    p = ClassParams(args.q, args.k, args.alpha)
+    f = _read_json(args.in_path, "in", ser.from_json_dict)
     from . import classes as cls
 
     weights = cls.extreme_point_decompose(f, p)
@@ -263,7 +284,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_hankel_bound(args) -> int:
-    p = _class_params(args)
+    p = ClassParams(args.q, args.k, args.alpha)
     P = _user_conic(args) or conic_coefficients(p.k, p.alpha)
     hq = hk.hankel_quantities(P, p.q)
     bound = hk.h2_bound(P, p.q)
@@ -271,16 +292,15 @@ def _cmd_hankel_bound(args) -> int:
         {"q": p.q, "k": p.k, "alpha": p.alpha,
          "P1": P.P1, "P2": P.P2, "P3": P.P3, "provenance": P.provenance},
         bound=bound,
-        quantities={k: getattr(hq, k) for k in
-                    ("q2", "q3", "q4", "S", "M", "N", "U", "V", "cP", "cQ", "cR")},
+        quantities=dataclasses.asdict(hq),
     )
     _emit(payload, [f"|a2 a4 - a3^2| <= {_fmt(bound)}"], args)
     return EXIT_OK
 
 
 def _cmd_fs_bound(args) -> int:
-    mu = complex(_check_finite("mu", args.mu), _check_finite("mu-imag", args.mu_imag) or 0.0)
-    p = _class_params(args)
+    mu = complex(args.mu, args.mu_imag or 0.0)
+    p = ClassParams(args.q, args.k, args.alpha)
     P = _user_conic(args) or conic_coefficients(p.k, p.alpha)
     bound = hk.fekete_szego_bound_complex(mu, P, p.q)
     real_bound = None if mu.imag else hk.fekete_szego_bound_real(mu.real, P, p.q)
@@ -295,15 +315,12 @@ def _cmd_fs_bound(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    _check_finite("mu", args.mu)
-    _check_finite("mu-imag", args.mu_imag)
-    p = _class_params(args)
+    p = ClassParams(args.q, args.k, args.alpha)
     P = _user_conic(args) or conic_coefficients(p.k, p.alpha)
     params = {"which": args.which, "q": p.q, "k": p.k, "alpha": p.alpha,
               "mu": args.mu, "P1": P.P1, "P2": P.P2, "P3": P.P3}
-    if args.which == "fs":
-        if args.mu is None:
-            raise CliError("--mu is required for the fs oracle")
+    if args.which == "fs" and args.mu is None:
+        raise CliError("--mu is required for the fs oracle")
     from . import verify as ver
 
     if args.which == "h2":
@@ -314,16 +331,6 @@ def _cmd_oracle(args) -> int:
     _emit(payload, [f"oracle max: {_fmt(result.value)}",
                     f"argmax B1: {_fmt(result.argmax.B1)}"], args)
     return EXIT_OK
-
-
-def _load_points(path: str) -> tuple[ClassParams, ...]:
-    raw = _read_json(path, "points")
-    if not isinstance(raw, list):
-        raise CliError("--points file must hold a JSON list of {q, k, alpha} objects")
-    try:
-        return tuple(ClassParams(q=e["q"], k=e["k"], alpha=e["alpha"]) for e in raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"--points file is malformed: {exc}") from exc
 
 
 def _ledger_summary(report) -> str:
@@ -346,12 +353,9 @@ def _ledger_summary(report) -> str:
 def _cmd_ledger(args) -> int:
     from . import verify as ver
 
-    points = _load_points(args.points) if args.points else ver.default_parameter_points()
-    report = ver.run_ledger(
-        points,
-        user_conic=_user_conic(args),
-        tolerance=args.tolerance,
-    )
+    points = (_read_json(args.points, "points", _points_from_json) if args.points
+              else ver.default_parameter_points())
+    report = ver.run_ledger(points, user_conic=_user_conic(args))
     report_paths = {"json": args.json_out, "csv": args.csv_out}
     renderers = {"json": report.json_text, "csv": report.csv_text,
                  "human": lambda: _ledger_summary(report)}
@@ -386,24 +390,24 @@ def build_parser() -> argparse.ArgumentParser:
         if infile:
             sp.add_argument("--in", dest="in_path", required=True, help="function JSON file")
         if conic:
-            sp.add_argument("--P1", type=float, default=None)
-            sp.add_argument("--P2", type=float, default=None)
-            sp.add_argument("--P3", type=float, default=None)
+            sp.add_argument("--P1", type=_finite, default=None)
+            sp.add_argument("--P2", type=_finite, default=None)
+            sp.add_argument("--P3", type=_finite, default=None)
             sp.add_argument("--conic", default=None, help='JSON file {"P": [P1, P2, P3]}')
 
     def class_flags(sp):
-        sp.add_argument("--q", type=float, required=True)
-        sp.add_argument("--k", type=float, required=True)
-        sp.add_argument("--alpha", type=float, required=True)
+        sp.add_argument("--q", type=_q_flag, required=True)
+        sp.add_argument("--k", type=_k_flag, required=True)
+        sp.add_argument("--alpha", type=_unit_flag, required=True)
 
     sp = sub.add_parser("qnum", help="evaluate a q-number or symmetric q-number")
-    sp.add_argument("--n", type=float, required=True)
-    sp.add_argument("--q", type=float, required=True)
+    sp.add_argument("--n", type=_finite, required=True)
+    sp.add_argument("--q", type=_q_flag, required=True)
     sp.add_argument("--symmetric", action="store_true")
     common(sp, _cmd_qnum)
 
     sp = sub.add_parser("deriv", help="q- or symmetric-q-derivative of a function file")
-    sp.add_argument("--q", type=float, required=True)
+    sp.add_argument("--q", type=_q_flag, required=True)
     sp.add_argument("--symmetric", action="store_true")
     common(sp, _cmd_deriv, infile=True)
 
@@ -412,14 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, _cmd_member, infile=True)
 
     sp = sub.add_parser("extremal", help="extremal function f_n as function JSON")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_index_flag, required=True)
     sp.add_argument("--order", type=int, default=None,
                     help=f"series order, at least max(n, 2) (default max({ser.DEFAULT_ORDER}, n))")
     class_flags(sp)
     common(sp, _cmd_extremal)
 
     sp = sub.add_parser("distortion", help="growth and derivative envelopes at |z| = r")
-    sp.add_argument("--r", type=float, required=True)
+    sp.add_argument("--r", type=_unit_flag, required=True)
     class_flags(sp)
     common(sp, _cmd_distortion)
 
@@ -432,21 +436,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, _cmd_hankel_bound, conic=True)
 
     sp = sub.add_parser("fs-bound", help="closed-form bound on |a3 - mu a2^2|")
-    sp.add_argument("--mu", type=float, required=True)
-    sp.add_argument("--mu-imag", type=float, default=None)
+    sp.add_argument("--mu", type=_finite, required=True)
+    sp.add_argument("--mu-imag", type=_finite, default=None)
     class_flags(sp)
     common(sp, _cmd_fs_bound, conic=True)
 
     sp = sub.add_parser("oracle", help="brute-force functional maximum")
     sp.add_argument("--which", choices=("h2", "fs"), required=True)
-    sp.add_argument("--mu", type=float, default=None)
-    sp.add_argument("--mu-imag", type=float, default=None)
+    sp.add_argument("--mu", type=_finite, default=None)
+    sp.add_argument("--mu-imag", type=_finite, default=None)
     class_flags(sp)
     common(sp, _cmd_oracle, conic=True)
 
     sp = sub.add_parser("ledger", help="run the bound-verification ledger")
     sp.add_argument("--points", default=None, help="JSON list of {q, k, alpha} points")
-    sp.add_argument("--tolerance", type=float, default=1e-6)
     sp.add_argument("--json-out", default=None, help="write the JSON report here")
     sp.add_argument("--csv-out", default=None, help="write the CSV report here")
     common(sp, _cmd_ledger, conic=True)

@@ -13,7 +13,6 @@ nothing here attempts analytic continuation or arbitrary precision.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,7 +40,7 @@ class NormalizationError(ValueError):
 
 
 class SeriesFormatError(ValueError):
-    """Malformed function file."""
+    """Malformed function file, or a number in an input file that is not a finite real."""
 
 
 @dataclass(frozen=True)
@@ -269,9 +268,17 @@ def to_json_dict(f: TruncatedSeries, kind: str = "function") -> dict:
     }
 
 
-def is_json_number(value) -> bool:
-    """True for a JSON number: an int or a float, never a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def json_real(value, what: str) -> float:
+    """A JSON int or float (not a bool) as a finite float, else a SeriesFormatError naming what."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SeriesFormatError(f"{what} must be a JSON number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:
+        raise SeriesFormatError(f"{what} is an integer too large for a double") from None
+    if not math.isfinite(real):
+        raise SeriesFormatError(f"{what} must be finite, got {real}")
+    return real
 
 
 def from_json_dict(d: dict) -> TruncatedSeries:
@@ -279,7 +286,8 @@ def from_json_dict(d: dict) -> TruncatedSeries:
         order, raw = d["order"], d["coeffs"]
     except (KeyError, TypeError) as exc:
         raise SeriesFormatError(f"malformed function file: {exc}") from exc
-    if not (is_json_number(order) and order % 1 == 0):
+    order = json_real(order, "function file order")
+    if not order.is_integer():
         raise SeriesFormatError(f"function file order must be an integer, got {order!r}")
     order = int(order)
     if order > MAX_ORDER:
@@ -288,12 +296,11 @@ def from_json_dict(d: dict) -> TruncatedSeries:
         raise SeriesFormatError("function file coeffs must be a list of [re, im] pairs")
     kind = d.get("kind", "function")
     coeffs = []
-    for entry in raw:
-        if not (isinstance(entry, list) and len(entry) == 2 and all(map(is_json_number, entry))):
+    for n, entry in enumerate(raw):
+        if not (isinstance(entry, list) and len(entry) == 2):
             raise SeriesFormatError(f"malformed coefficient entry {entry!r}: need [re, im] numbers")
-        re, im = float(entry[0]), float(entry[1])
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise SeriesFormatError(f"non-finite coefficient entry {entry!r}")
+        re, im = (json_real(part, f"coefficient entry {n} {name}")
+                  for part, name in zip(entry, ("re", "im")))
         coeffs.append(complex(re, im))
     if kind == "function":
         if order < 2:
@@ -310,13 +317,3 @@ def from_json_dict(d: dict) -> TruncatedSeries:
             )
         return TruncatedSeries(tuple(coeffs))
     raise SeriesFormatError(f"unknown series kind {kind!r}")
-
-
-def load_function(path) -> TruncatedSeries:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError as exc:
-            raise SeriesFormatError(f"malformed function file: {exc}") from exc
-    return from_json_dict(doc)
-

@@ -27,7 +27,7 @@ functional value.
 
 run_ledger() assembles one record per claim per parameter point,
 comparing each closed-form bound against its oracle maximum.  A negative
-slack beyond tolerance is a first-class "violated" outcome — several
+slack beyond TOLERANCE is a first-class "violated" outcome — several
 printed shortcut values are retained precisely because they fail, and the
 ledger is how that gets documented.
 """
@@ -82,6 +82,9 @@ STATUS_VERIFIED = "verified"
 STATUS_VIOLATED = "violated"
 STATUS_RECONSTRUCTED = "reconstructed-input"
 STATUS_MISSING = "reconstructed-input-missing"
+
+# A record is violated when its slack (bound - oracle) is below -TOLERANCE.
+TOLERANCE = 1e-6
 
 CARATHEODORY_TOL = 1e-9
 
@@ -393,8 +396,8 @@ def default_parameter_points() -> tuple[ClassParams, ...]:
     )
 
 
-def _status(slack: float, tolerance: float, reconstructed: bool) -> str:
-    if slack < -tolerance:
+def _status(slack: float, reconstructed: bool) -> str:
+    if slack < -TOLERANCE:
         return STATUS_VIOLATED
     return STATUS_RECONSTRUCTED if reconstructed else STATUS_VERIFIED
 
@@ -460,7 +463,6 @@ def run_ledger(
     points,
     grid: OracleGrid | None = None,
     user_conic: ConicCoefficients | None = None,
-    tolerance: float = 1e-6,
     distortion_members: int | None = None,
     rng_seed: int = 20260808,
 ) -> VerificationReport:
@@ -471,15 +473,11 @@ def run_ledger(
     grid and distortion_members are accepted and unused: the H2 oracle is
     exact and the distortion maxima are read off the extreme points.  They
     stay only because the benchmark's ledger warm-up still passes them.
-    tolerance must be finite and nonnegative: NaN or inf would pass every
-    slack, a negative value fail exact agreement.
     """
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     header = {
         "tool": "qstarlike",
         "version": __version__,
-        "tolerance": tolerance,
+        "tolerance": TOLERANCE,
         "restrictions": [
             "B1 restricted to the real segment [0, 2] (rotation normalization); "
             "|a2 a4 - a3^2| and |a3 - mu a2^2| are unchanged by a_n -> e^{i(n-1)theta} a_n, "
@@ -492,16 +490,16 @@ def run_ledger(
     }
     records: list[LedgerRecord] = []
     for index, p in enumerate(points):
-        records.extend(_point_records(p, user_conic, tolerance, rng_seed, index))
+        records.extend(_point_records(p, user_conic, rng_seed, index))
     return VerificationReport(header=header, records=tuple(records))
 
 
-def _point_records(p, user_conic, tolerance, rng_seed, index) -> list[LedgerRecord]:
+def _point_records(p, user_conic, rng_seed, index) -> list[LedgerRecord]:
     def record(claim, anchor, bound, oracle, conic=None, argmax=None, mu=None,
                status=None):
         slack = None if (bound is None or oracle is None) else bound - oracle
         if status is None:
-            status = _status(slack, tolerance, conic.is_reconstructed if conic else False)
+            status = _status(slack, conic.is_reconstructed if conic else False)
         return LedgerRecord(
             claim=claim, anchor=anchor, q=p.q, k=p.k, alpha=p.alpha,
             P1=conic.P1 if conic else None, P2=conic.P2 if conic else None,

@@ -433,18 +433,6 @@ class TestLedgerVerb:
         assert code == EXIT_FINDINGS and out == ""
         assert out_path.read_bytes() == report.read_bytes()
 
-    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
-    def test_bad_tolerance_is_usage_error(self, capsys, tmp_path, tolerance):
-        # NaN and inf used to pass every slack (exit 0), -1 to fail 11 of 13 records
-        points = tmp_path / "points.json"
-        points.write_text(json.dumps([{"q": 1.0, "k": 0.0, "alpha": 0.0}]))
-        base = ("ledger", "--points", str(points))
-        code, out, _ = run_cli(capsys, *base)
-        assert code == EXIT_FINDINGS and "1 violated" in out
-        code, out, err = run_cli(capsys, *base, f"--tolerance={tolerance}")
-        assert code == EXIT_ERROR
-        assert_one_error_line(out, err, "tolerance")
-
     def test_malformed_points_file(self, capsys, tmp_path):
         points = tmp_path / "points.json"
         points.write_text(json.dumps({"q": 1.0}))
@@ -666,3 +654,57 @@ class TestStrictFileReading:
         code, out, err = run_cli(capsys, *argv, str(path))
         assert code == EXIT_ERROR
         assert_one_error_line(out, err, word)
+
+
+BIG_INT = "1" + "0" * 400  # a JSON integer that no double can hold
+CLASS_FLAGS = ("--q", "0.5", "--k", "0", "--alpha", "0")
+ONE_DIAGNOSTIC_ROWS = {
+    # name: (argv, with {path} for the input file; the file's text or None; the flag)
+    "k-nan": (("distortion", "--r", "0.5", "--q", "0.5", "--k", "nan", "--alpha", "0"),
+              None, "--k"),
+    "k-inf": (("hankel-bound", "--q", "0.5", "--k", "inf", "--alpha", "0"), None, "--k"),
+    "alpha-nan": (("distortion", "--r", "0.5", "--q", "0.5", "--k", "0", "--alpha", "nan"),
+                  None, "--alpha"),
+    "P1-nan": (("hankel-bound", "--q", "1", "--k", "2", "--alpha", "0", "--P1", "nan",
+                "--P2", "1", "--P3", "1"), None, "--P1"),
+    "mu-inf": (("fs-bound", "--mu", "inf", *CLASS_FLAGS), None, "--mu"),
+    "member-not-json": ((*IN_VERBS["member"], "{path}"), "not json", "--in"),
+    "deriv-not-json": ((*IN_VERBS["deriv"], "{path}"), "not json", "--in"),
+    "decompose-not-json": ((*IN_VERBS["decompose"], "{path}"), "not json", "--in"),
+    "in-huge-int": ((*IN_VERBS["member"], "{path}"),
+                    f'{{"order": 2, "coeffs": [[{BIG_INT}, 0], [0.5, 0]]}}', "--in"),
+    "conic-huge-int": (("hankel-bound", "--q", "0.5", "--k", "2", "--alpha", "0", "--conic",
+                        "{path}"), f'{{"P": [{BIG_INT}, 1, 1]}}', "--conic"),
+    "points-huge-int": (("ledger", "--points", "{path}"),
+                        f'[{{"q": 1, "k": {BIG_INT}, "alpha": 0}}]', "--points"),
+    "points-string-q": (("ledger", "--points", "{path}"),
+                        '[{"q": "0.5", "k": 0, "alpha": 0}]', "--points"),
+    "points-bool-k": (("ledger", "--points", "{path}"),
+                      '[{"q": 0.5, "k": true, "alpha": 0}]', "--points"),
+}
+
+
+class TestOneDiagnosticPerInput:
+    # each flag is checked once, by its argparse type, and each input file once,
+    # by the one strict reader, so every refusal names the flag (and the file)
+    @pytest.mark.parametrize("argv, text, flag", [
+        pytest.param(*row, id=name) for name, row in ONE_DIAGNOSTIC_ROWS.items()
+    ])
+    def test_names_the_flag(self, capsys, tmp_path, argv, text, flag):
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+        assert code == EXIT_ERROR
+        assert "Traceback" not in err
+        words = (f"argument {flag}",) if text is None else (flag, str(path))
+        assert_one_error_line(out, err, *words)
+
+    def test_non_numeric_text_keeps_argparse_wording(self, capsys):
+        code, out, err = run_cli(capsys, "hankel-bound", "--q", "0.5", "--k", "wide",
+                                 "--alpha", "0")
+        assert code == EXIT_ERROR
+        assert_one_error_line(out, err, "argument --k: invalid float value: 'wide'")
+        code, out, err = run_cli(capsys, "extremal", "--n", "two", *CLASS_FLAGS)
+        assert code == EXIT_ERROR
+        assert_one_error_line(out, err, "argument --n: invalid int value: 'two'")

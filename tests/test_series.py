@@ -243,8 +243,8 @@ class TestJson:
         f = S(1, 0.5, -0.25j, order=5)
         path = tmp_path / "f.json"
         path.write_text(json.dumps(ser.to_json_dict(f)))
-        assert ser.load_function(path) == f
         doc = json.loads(path.read_text())
+        assert ser.from_json_dict(doc) == f
         assert doc["coeffs"][0] == [1.0, 0.0]  # coeffs[0] is a1
         assert doc["order"] == 5
         assert len(doc["coeffs"]) == 5
@@ -253,13 +253,34 @@ class TestJson:
         g = TruncatedSeries((1 + 0j, 1.5 + 0j, 0j))
         path = tmp_path / "g.json"
         path.write_text(json.dumps(ser.to_json_dict(g, kind="derivative")))
-        assert ser.load_function(path) == g
+        assert ser.from_json_dict(json.loads(path.read_text())) == g
 
     def test_deep_nesting_is_a_format_error(self, tmp_path):
+        # function files are read by the CLI's one JSON reader, which names the flag
+        from qstarlike.cli import CliError, _read_json
+
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000)
-        with pytest.raises(SeriesFormatError, match="malformed function file"):
-            ser.load_function(path)
+        with pytest.raises(CliError, match="--in file .* is unreadable"):
+            _read_json(str(path), "in", ser.from_json_dict)
+
+    @pytest.mark.parametrize("value, message", [
+        (True, "must be a JSON number"),
+        ("0.5", "must be a JSON number"),
+        ([1.0], "must be a JSON number"),
+        (math.inf, "must be finite"),
+        (math.nan, "must be finite"),
+        (10**400, "is an integer too large for a double"),
+    ], ids=["bool", "string", "list", "inf", "nan", "huge-int"])
+    def test_json_real_refuses(self, value, message):
+        with pytest.raises(SeriesFormatError, match=f"^entry 3 {message}"):
+            ser.json_real(value, "entry 3")
+
+    def test_json_real_accepts_ints_and_floats(self):
+        two = ser.json_real(2, "x")
+        assert two == 2.0 and type(two) is float
+        assert ser.json_real(-0.25, "x") == -0.25
+        assert ser.json_real(2**1023, "x") == 2.0**1023
 
     def test_rejects_non_finite(self):
         with pytest.raises(SeriesFormatError):
