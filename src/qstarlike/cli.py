@@ -10,10 +10,11 @@ Exit codes: 0 success / all verified; 2 membership witness found or
 ledger contains violations; 1 usage or IO error (single-line diagnostic
 naming the offending flag).
 
-Each input is checked once: a flag's range is its argparse type, and the
---in, --conic and --points files are read by _read_json alone, with every
-number converted by series.json_real.  Only rules that join two flags are
-left to the handlers.
+Each input is checked once and enters one way: a flag's range is its
+argparse type, the disk-map coefficients come only as --P1 --P2 --P3, and
+the --in and --points files are read by _read_json alone, which refuses
+one above MAX_INPUT_BYTES, with every number converted by series.json_real.
+Only rules that join two flags are left to the handlers.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ from .conic import ClassParams, ConicCoefficients, conic_coefficients
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FINDINGS = 2
+
+# Largest --in or --points file read; a larger one is refused before it is
+# parsed.  A function file of the largest order (series.MAX_ORDER) written at
+# full precision takes about 60 kB.
+MAX_INPUT_BYTES = 1 << 20
 
 
 class CliError(ValueError):
@@ -115,7 +121,7 @@ def _number_flag(base, accept, must: str):
 _finite = _number_flag(float, math.isfinite, "be finite")
 _k_flag = _number_flag(float, lambda k: math.isfinite(k) and k >= 0.0, "be finite and nonnegative")
 _unit_flag = _number_flag(float, lambda x: 0.0 <= x < 1.0, "lie in [0, 1)")
-_index_flag = _number_flag(int, lambda n: n >= 1, "be at least 1")
+_order_flag = _number_flag(int, lambda n: 1 <= n <= ser.MAX_ORDER, f"lie in [1, {ser.MAX_ORDER}]")
 _q_range = _number_flag(float, lambda q: 0.0 < q <= 1.0, "lie in (0, 1]")
 
 
@@ -128,24 +134,26 @@ def _q_flag(text: str) -> float:
 
 
 def _read_json(path: str, flag: str, parse):
-    """parse(document) of the --flag file; any fault is one CliError naming the flag and path."""
+    """parse(document) of the --flag file; any fault is one CliError naming the flag and path.
+
+    At most MAX_INPUT_BYTES + 1 bytes are read, so a file that is too large, or
+    a device or pipe that never ends, is refused before anything is parsed.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_INPUT_BYTES + 1)
+    except OSError as exc:
+        raise CliError(f"--{flag} file {path!r} is unreadable: {exc}") from exc
+    if len(data) > MAX_INPUT_BYTES:
+        raise CliError(f"--{flag} file {path!r} is larger than {MAX_INPUT_BYTES} bytes")
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"--{flag} file {path!r} is unreadable: {exc}") from exc
     try:
         return parse(doc)
     except ValueError as exc:
         raise CliError(f"--{flag} file {path!r} is malformed: {exc}") from exc
-
-
-def _conic_from_json(doc) -> ConicCoefficients:
-    P = doc.get("P") if isinstance(doc, dict) else None
-    if not (isinstance(P, list) and len(P) == 3):
-        raise ValueError('need {"P": [P1, P2, P3]} with three numbers')
-    return ConicCoefficients(*(ser.json_real(v, f"P{i} of the three numbers")
-                               for i, v in enumerate(P, start=1)))
 
 
 def _points_from_json(doc) -> tuple[ClassParams, ...]:
@@ -162,14 +170,9 @@ def _points_from_json(doc) -> tuple[ClassParams, ...]:
 
 def _user_conic(args) -> ConicCoefficients | None:
     flags = (args.P1, args.P2, args.P3)
-    given = [v for v in flags if v is not None]
-    if args.conic and given:
-        raise CliError("--conic and --P1/--P2/--P3 are mutually exclusive")
-    if args.conic:
-        return _read_json(args.conic, "conic", _conic_from_json)
-    if not given:
+    if flags == (None, None, None):
         return None
-    if len(given) != 3:
+    if None in flags:
         raise CliError("--P1, --P2 and --P3 must be given together")
     return ConicCoefficients(*flags)
 
@@ -356,16 +359,13 @@ def _cmd_ledger(args) -> int:
     points = (_read_json(args.points, "points", _points_from_json) if args.points
               else ver.default_parameter_points())
     report = ver.run_ledger(points, user_conic=_user_conic(args))
-    report_paths = {"json": args.json_out, "csv": args.csv_out}
-    renderers = {"json": report.json_text, "csv": report.csv_text,
-                 "human": lambda: _ledger_summary(report)}
-    # each format is rendered once, whether it goes to a report file, --out or stdout
-    texts = {fmt: render() for fmt, render in renderers.items()
-             if fmt == args.format or report_paths.get(fmt)}
-    for fmt, path in report_paths.items():
-        if path:
-            _write_text(texts[fmt], path)
-    _write_text(texts[args.format], args.out)
+    if args.format == "json":
+        text = report.json_text()
+    elif args.format == "csv":
+        text = report.csv_text()
+    else:
+        text = _ledger_summary(report)
+    _write_text(text, args.out)
     return EXIT_FINDINGS if report.has_violations else EXIT_OK
 
 
@@ -393,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--P1", type=_finite, default=None)
             sp.add_argument("--P2", type=_finite, default=None)
             sp.add_argument("--P3", type=_finite, default=None)
-            sp.add_argument("--conic", default=None, help='JSON file {"P": [P1, P2, P3]}')
 
     def class_flags(sp):
         sp.add_argument("--q", type=_q_flag, required=True)
@@ -416,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, _cmd_member, infile=True)
 
     sp = sub.add_parser("extremal", help="extremal function f_n as function JSON")
-    sp.add_argument("--n", type=_index_flag, required=True)
-    sp.add_argument("--order", type=int, default=None,
+    sp.add_argument("--n", type=_order_flag, required=True)
+    sp.add_argument("--order", type=_order_flag, default=None,
                     help=f"series order, at least max(n, 2) (default max({ser.DEFAULT_ORDER}, n))")
     class_flags(sp)
     common(sp, _cmd_extremal)
@@ -450,8 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ledger", help="run the bound-verification ledger")
     sp.add_argument("--points", default=None, help="JSON list of {q, k, alpha} points")
-    sp.add_argument("--json-out", default=None, help="write the JSON report here")
-    sp.add_argument("--csv-out", default=None, help="write the CSV report here")
     common(sp, _cmd_ledger, conic=True)
 
     return parser

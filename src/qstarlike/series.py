@@ -249,7 +249,9 @@ def evaluate_on_grid(f: TruncatedSeries):
 #
 # {"order": N, "coeffs": [[re, im], ...]} with coeffs[0] = a1 (the constant
 # term is implied zero).  Derivative series, which do carry a constant term,
-# are written with "kind": "derivative" and coeffs[0] = c0.
+# are written with "kind": "derivative" and coeffs[0] = c0; no verb reads
+# them, since every reader needs a normalized series, so from_json_dict
+# refuses them.
 
 
 def to_json_dict(f: TruncatedSeries, kind: str = "function") -> dict:
@@ -282,10 +284,14 @@ def json_real(value, what: str) -> float:
 
 
 def from_json_dict(d: dict) -> TruncatedSeries:
+    """The series of a function file; the entry count is checked before any entry is read."""
     try:
         order, raw = d["order"], d["coeffs"]
     except (KeyError, TypeError) as exc:
         raise SeriesFormatError(f"malformed function file: {exc}") from exc
+    kind = d.get("kind", "function")
+    if kind != "function":
+        raise SeriesFormatError(f"only function files can be read, not kind {kind!r}")
     order = json_real(order, "function file order")
     if not order.is_integer():
         raise SeriesFormatError(f"function file order must be an integer, got {order!r}")
@@ -294,7 +300,12 @@ def from_json_dict(d: dict) -> TruncatedSeries:
         raise SeriesFormatError(f"function file order {order} exceeds the maximum {MAX_ORDER}")
     if not isinstance(raw, list):
         raise SeriesFormatError("function file coeffs must be a list of [re, im] pairs")
-    kind = d.get("kind", "function")
+    if order < 2:
+        raise SeriesFormatError("function files need order >= 2")
+    if len(raw) != order:
+        raise SeriesFormatError(
+            f"function file with order {order} must carry exactly {order} coefficients (a1..aN)"
+        )
     coeffs = []
     for n, entry in enumerate(raw):
         if not (isinstance(entry, list) and len(entry) == 2):
@@ -302,18 +313,4 @@ def from_json_dict(d: dict) -> TruncatedSeries:
         re, im = (json_real(part, f"coefficient entry {n} {name}")
                   for part, name in zip(entry, ("re", "im")))
         coeffs.append(complex(re, im))
-    if kind == "function":
-        if order < 2:
-            raise SeriesFormatError("function files need order >= 2")
-        if len(coeffs) != order:
-            raise SeriesFormatError(
-                f"function file with order {order} must carry exactly {order} coefficients (a1..aN)"
-            )
-        return TruncatedSeries.from_taylor(coeffs)
-    if kind == "derivative":
-        if len(coeffs) != order + 1:
-            raise SeriesFormatError(
-                f"derivative file with order {order} must carry {order + 1} coefficients (c0..cN)"
-            )
-        return TruncatedSeries(tuple(coeffs))
-    raise SeriesFormatError(f"unknown series kind {kind!r}")
+    return TruncatedSeries.from_taylor(coeffs)

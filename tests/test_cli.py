@@ -2,12 +2,14 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
-from qstarlike.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, main
+from qstarlike import series as ser
+from qstarlike.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, MAX_INPUT_BYTES, main
 
 
 def run_cli(capsys, *argv):
@@ -165,22 +167,19 @@ class TestMemberAndExtremal:
                              "--order", str(MAX_EXTREMAL_ORDER), "--out", str(out_path))
         assert code == EXIT_OK
         assert json.loads(out_path.read_text())["order"] == MAX_EXTREMAL_ORDER
-        # refused before anything is allocated, so 10^18 is as cheap as the cap + 1
+        # refused while the arguments are parsed, so 10^18 is as cheap as the cap + 1
         for flag, value in (("--n", MAX_EXTREMAL_ORDER + 1), ("--order", MAX_EXTREMAL_ORDER + 1),
                             ("--n", 10**18), ("--order", 10**18)):
             argv = {"--n": "2", "--order": "32", flag: str(value)}
             code, out, err = run_cli(capsys, "extremal", *cls_flags,
                                      *(item for pair in argv.items() for item in pair))
             assert code == EXIT_ERROR
-            assert out == ""
-            lines = err.strip().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error:")
-            assert f"{flag.lstrip('-')} = {value}" in lines[0]
-            assert f"must not exceed {MAX_EXTREMAL_ORDER}" in lines[0]
+            assert_one_error_line(out, err, f"argument {flag}: must lie in [1, {MAX_EXTREMAL_ORDER}]"
+                                            f", got {value}")
 
     def test_extremal_order_below_n_is_usage_error(self, capsys, tmp_path):
         cls_flags = ("--q", "0.5", "--k", "0", "--alpha", "0")
-        for n, order in (("3", "-7"), ("5", "2")):
+        for n, order in (("1", "1"), ("5", "2")):
             out_path = tmp_path / f"f{n}.json"
             code, out, err = run_cli(capsys, "extremal", "--n", n, "--order", order, *cls_flags,
                                      "--out", str(out_path))
@@ -271,14 +270,31 @@ class TestScalarVerbs:
         assert code == EXIT_ERROR
         assert "k=2" in err
 
-    def test_conic_file(self, capsys, tmp_path):
-        conic = tmp_path / "p.json"
-        conic.write_text(json.dumps({"P": [2.0, 2.0, 2.0]}))
+    def test_conic_file(self, capsys):
+        # the coefficients a --conic file used to carry now come only as flags
         code, out, _ = run_cli(capsys, "hankel-bound", "--q", "1", "--k", "3",
-                               "--alpha", "0", "--conic", str(conic),
+                               "--alpha", "0", "--P1", "2", "--P2", "2", "--P3", "2",
                                "--format", "json")
         assert code == EXIT_OK
         assert json.loads(out)["bound"] == pytest.approx(7.0)
+
+    def test_user_conic_at_a_builtin_aperture(self, capsys):
+        # outside the ledger, user coefficients replace the built-in ones at any k
+        code, out, _ = run_cli(capsys, "hankel-bound", "--q", "1", "--k", "0", "--alpha", "0",
+                               "--P1", "5", "--P2", "5", "--P3", "5", "--format", "json")
+        assert code == EXIT_OK
+        params = json.loads(out)["params"]
+        assert (params["P1"], params["P2"], params["P3"]) == (5.0, 5.0, 5.0)
+        assert params["provenance"] == "user"
+
+    @pytest.mark.parametrize("argv", [
+        ("hankel-bound", "--q", "1", "--k", "3", "--alpha", "0", "--P1", "2", "--P2", "2"),
+        ("ledger", "--P3", "2"),
+    ], ids=["hankel-bound", "ledger"])
+    def test_user_conic_flags_come_together(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert_one_error_line(out, err, "--P1, --P2 and --P3 must be given together")
 
 
 H2_ORACLE = ("oracle", "--which", "h2", "--q", "1", "--k", "0", "--alpha", "0")
@@ -379,18 +395,6 @@ class TestNonFiniteFlags:
         assert code == EXIT_ERROR
         assert_one_error_line(out, err, name, "must be finite")
 
-    @pytest.mark.parametrize("verb", [
-        ("hankel-bound", "--q", "1", "--k", "2", "--alpha", "0"),
-        ("fs-bound", "--mu", "0.5", "--q", "1", "--k", "2", "--alpha", "0"),
-        ("ledger", "--format", "json"),
-    ])
-    def test_non_finite_conic_file_refused(self, capsys, tmp_path, verb):
-        conic = tmp_path / "p.json"
-        conic.write_text('{"P": [1e400, 1.0, 1.0]}')  # json loads 1e400 as inf
-        code, out, err = run_cli(capsys, *verb, "--conic", str(conic))
-        assert code == EXIT_ERROR
-        assert_one_error_line(out, err, "P1", "must be finite")
-
     def test_phi_overflow_is_one_line_error(self, capsys):
         code, out, err = run_cli(capsys, "extremal", "--n", "3", "--q", "0.5", "--k", "1",
                                  "--alpha", "0", "--order", "1024")
@@ -404,13 +408,12 @@ class TestLedgerVerb:
         points.write_text(json.dumps([{"q": 1.0, "k": 0.0, "alpha": 0.0}]))
         json_out = tmp_path / "report.json"
         csv_out = tmp_path / "report.csv"
-        code, out, _ = run_cli(
-            capsys, "ledger", "--points", str(points),
-            "--json-out", str(json_out), "--csv-out", str(csv_out),
-        )
-        assert code == EXIT_FINDINGS  # printed shortcut rows violate by design
-        assert "violated" in out
+        for fmt, path in (("json", json_out), ("csv", csv_out)):
+            code, out, _ = run_cli(capsys, "ledger", "--points", str(points),
+                                   "--format", fmt, "--out", str(path))
+            assert code == EXIT_FINDINGS and out == ""  # printed shortcut rows violate by design
         doc = json.loads(json_out.read_text())
+        assert "violated" in {r["status"] for r in doc["records"]}
         with open(csv_out) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(doc["records"])
@@ -423,15 +426,13 @@ class TestLedgerVerb:
     def test_report_file_matches_stdout(self, capsys, tmp_path, fmt):
         points = tmp_path / "points.json"
         points.write_text(json.dumps([{"q": 0.8, "k": 0.0, "alpha": 0.25}]))
-        report = tmp_path / f"report.{fmt}"
         out_path = tmp_path / f"out.{fmt}"
         base = ("ledger", "--points", str(points), "--format", fmt)
-        code, out, _ = run_cli(capsys, *base, f"--{fmt}-out", str(report))
+        code, stdout, _ = run_cli(capsys, *base)
         assert code == EXIT_FINDINGS  # the printed shortcut rows
-        assert out.encode() == report.read_bytes()
         code, out, _ = run_cli(capsys, *base, "--out", str(out_path))
         assert code == EXIT_FINDINGS and out == ""
-        assert out_path.read_bytes() == report.read_bytes()
+        assert out_path.read_bytes() == stdout.encode()
 
     def test_malformed_points_file(self, capsys, tmp_path):
         points = tmp_path / "points.json"
@@ -482,12 +483,16 @@ class TestEntryPoint:
         (("distortion", "--r", "1.5", "--q", "0.5", "--k", "0", "--alpha", "0"),
          EXIT_ERROR, False),
         (("extremal", "--n", "0", "--q", "0.5", "--k", "0", "--alpha", "0"), EXIT_ERROR, False),
+        (("extremal", "--n", "5000", "--q", "0.5", "--k", "0", "--alpha", "0"), EXIT_ERROR, False),
+        (("extremal", "--n", "2", "--order", "5000", "--q", "0.5", "--k", "0", "--alpha", "0"),
+         EXIT_ERROR, False),
         (("qnum", "--n", "nan", "--q", "0.5"), EXIT_ERROR, False),
         # the sampled membership test evaluates on a numpy grid; this case keeps
         # the probe from passing by never reporting numpy at all
         (("member", "--in", "{f}", "--q", "0.5", "--k", "0", "--alpha", "0"), EXIT_OK, True),
     ], ids=["version", "qnum", "deriv", "hankel-bound", "fs-bound", "bad-radius",
-            "bad-extremal-index", "nan-n", "member"])
+            "bad-extremal-index", "extremal-n-above-cap", "extremal-order-above-cap", "nan-n",
+            "member"])
     def test_closed_form_verbs_do_not_load_numpy(self, tmp_path, argv, code, numpy_loaded):
         fpath = write_function(tmp_path / "f.json", [1.0, 0.01])
         probe = (
@@ -506,6 +511,22 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [code, numpy_loaded]
+
+    # each datum has one way in and one way out: P1..P3 only as flags, and a
+    # ledger report only as --format X with --out or stdout
+    @pytest.mark.parametrize("argv", [
+        ("hankel-bound", "--q", "1", "--k", "3", "--alpha", "0", "--conic", "p.json"),
+        ("fs-bound", "--mu", "0", "--q", "1", "--k", "3", "--alpha", "0", "--conic", "p.json"),
+        ("oracle", "--which", "h2", "--q", "1", "--k", "3", "--alpha", "0", "--conic", "p.json"),
+        ("ledger", "--conic", "p.json"),
+        ("ledger", "--json-out", "x.json"),
+        ("ledger", "--csv-out", "x.csv"),
+    ], ids=["hankel-bound-conic", "fs-bound-conic", "oracle-conic", "ledger-conic",
+            "ledger-json-out", "ledger-csv-out"])
+    def test_removed_options_are_unknown(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert_one_error_line(out, err, "unrecognized arguments", argv[-2])
 
     def test_unknown_flag_is_usage_error(self):
         proc = subprocess.run(
@@ -572,8 +593,7 @@ class TestDeeplyNestedJson:
         ("member", "--q", "0.5", "--k", "0", "--alpha", "0", "--in"),
         ("deriv", "--q", "0.5", "--in"),
         ("ledger", "--points"),
-        ("hankel-bound", "--q", "0.5", "--k", "0", "--alpha", "0", "--conic"),
-    ], ids=["member", "deriv", "ledger", "hankel-bound"])
+    ], ids=["member", "deriv", "ledger"])
     def test_is_one_line_error(self, tmp_path, argv):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000)
@@ -613,6 +633,37 @@ class TestFunctionFileOrderCap:
         assert "Traceback" not in err
 
 
+class TestInputByteCap:
+    # an input file is read at most MAX_INPUT_BYTES + 1 bytes deep before it is
+    # parsed: a 2,000,000-entry function file used to take deriv to a peak RSS
+    # of about 350 MB before its entry count was refused
+    @pytest.mark.parametrize("source", ["two-million-entries", "endless-device"])
+    def test_refused_before_parsing(self, tmp_path, source):
+        if source == "endless-device":
+            path = "/dev/zero"
+            if not os.path.exists(path):
+                pytest.skip("no /dev/zero")
+        else:
+            path = tmp_path / "big.json"
+            with open(path, "w") as fh:
+                fh.write('{"order": 2, "coeffs": [' + ", ".join(["[0.5, 0]"] * 2_000_000) + "]}")
+            path = str(path)
+        probe = (
+            "import resource, subprocess, sys\n"
+            "proc = subprocess.run([sys.executable, '-m', 'qstarlike', 'deriv', '--q', '0.5',"
+            " '--in', sys.argv[1]], capture_output=True, text=True, timeout=60)\n"
+            "print(proc.returncode)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+            "sys.stdout.write(proc.stdout + proc.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe, path],
+                              capture_output=True, text=True, timeout=120)
+        code, maxrss_kb, output = proc.stdout.split("\n", 2)
+        assert int(code) == EXIT_ERROR
+        assert_one_error_line("", output, "--in", path, f"larger than {MAX_INPUT_BYTES} bytes")
+        assert int(maxrss_kb) < 100 * 1024
+
+
 IN_VERBS = {
     "member": ("member", "--q", "0.5", "--k", "0", "--alpha", "0", "--in"),
     "deriv": ("deriv", "--q", "0.5", "--in"),
@@ -628,23 +679,14 @@ LOOSE_FUNCTION_FILES = {
     "fractional-order": ({"order": 2.7, "coeffs": [[1, 0], [0.5, 0]]}, "order"),
     "bool-order": ({"order": True, "coeffs": [[1, 0]]}, "order"),
 }
-LOOSE_CONIC_FILES = {
-    "string-P": ({"P": "123"}, "three numbers"),
-    "bool-P": ({"P": [True, 1.0, 1.0]}, "three numbers"),
-    "dict-P": ({"P": {"P1": 1, "P2": 1, "P3": 1}}, "three numbers"),
-}
 LOOSE_FILE_CASES = [
     pytest.param(IN_VERBS[verb], doc, word, id=f"{verb}-{name}")
     for verb in IN_VERBS for name, (doc, word) in LOOSE_FUNCTION_FILES.items()
-] + [
-    pytest.param(("hankel-bound", "--q", "0.5", "--k", "2", "--alpha", "0", "--conic"),
-                 doc, word, id=f"hankel-bound-{name}")
-    for name, (doc, word) in LOOSE_CONIC_FILES.items()
 ]
 
 
 class TestStrictFileReading:
-    # function and conic files are read as written or refused: a string, a
+    # function files are read as written or refused: a string, a
     # bool, an object or an entry of the wrong length is never converted, and
     # a fractional order is never rounded; the error line names what is wrong
     @pytest.mark.parametrize("argv, doc, word", LOOSE_FILE_CASES)
@@ -657,6 +699,8 @@ class TestStrictFileReading:
 
 
 BIG_INT = "1" + "0" * 400  # a JSON integer that no double can hold
+# what deriv --out writes: readable by no verb, since each needs a normalized series
+DERIVATIVE_FILE = json.dumps(ser.to_json_dict(ser.TruncatedSeries((1, 1.5, 0)), kind="derivative"))
 CLASS_FLAGS = ("--q", "0.5", "--k", "0", "--alpha", "0")
 ONE_DIAGNOSTIC_ROWS = {
     # name: (argv, with {path} for the input file; the file's text or None; the flag)
@@ -673,14 +717,21 @@ ONE_DIAGNOSTIC_ROWS = {
     "decompose-not-json": ((*IN_VERBS["decompose"], "{path}"), "not json", "--in"),
     "in-huge-int": ((*IN_VERBS["member"], "{path}"),
                     f'{{"order": 2, "coeffs": [[{BIG_INT}, 0], [0.5, 0]]}}', "--in"),
-    "conic-huge-int": (("hankel-bound", "--q", "0.5", "--k", "2", "--alpha", "0", "--conic",
-                        "{path}"), f'{{"P": [{BIG_INT}, 1, 1]}}', "--conic"),
     "points-huge-int": (("ledger", "--points", "{path}"),
                         f'[{{"q": 1, "k": {BIG_INT}, "alpha": 0}}]', "--points"),
     "points-string-q": (("ledger", "--points", "{path}"),
                         '[{"q": "0.5", "k": 0, "alpha": 0}]', "--points"),
     "points-bool-k": (("ledger", "--points", "{path}"),
                       '[{"q": 0.5, "k": true, "alpha": 0}]', "--points"),
+    # an empty list padded past the cap: read whole, it would run a ledger of no points
+    "points-above-byte-cap": (("ledger", "--points", "{path}"), "[" + " " * MAX_INPUT_BYTES + "]",
+                              "--points"),
+    "member-derivative-file": ((*IN_VERBS["member"], "{path}"), DERIVATIVE_FILE, "--in"),
+    "deriv-derivative-file": ((*IN_VERBS["deriv"], "{path}"), DERIVATIVE_FILE, "--in"),
+    "decompose-derivative-file": ((*IN_VERBS["decompose"], "{path}"), DERIVATIVE_FILE, "--in"),
+    "extremal-n-above-cap": (("extremal", "--n", "5000", *CLASS_FLAGS), None, "--n"),
+    "extremal-order-above-cap": (("extremal", "--n", "2", "--order", "5000", *CLASS_FLAGS),
+                                 None, "--order"),
 }
 
 

@@ -249,11 +249,13 @@ class TestJson:
         assert doc["order"] == 5
         assert len(doc["coeffs"]) == 5
 
-    def test_derivative_kind_roundtrip(self, tmp_path):
+    def test_derivative_kind_is_refused(self):
+        # deriv still writes derivative files, but no reader accepts a constant term
         g = TruncatedSeries((1 + 0j, 1.5 + 0j, 0j))
-        path = tmp_path / "g.json"
-        path.write_text(json.dumps(ser.to_json_dict(g, kind="derivative")))
-        assert ser.from_json_dict(json.loads(path.read_text())) == g
+        doc = json.loads(json.dumps(ser.to_json_dict(g, kind="derivative")))
+        assert doc["kind"] == "derivative" and doc["coeffs"][0] == [1.0, 0.0]
+        with pytest.raises(SeriesFormatError, match="only function files can be read, not kind 'derivative'"):
+            ser.from_json_dict(doc)
 
     def test_deep_nesting_is_a_format_error(self, tmp_path):
         # function files are read by the CLI's one JSON reader, which names the flag
@@ -289,6 +291,11 @@ class TestJson:
     def test_rejects_length_mismatch(self):
         with pytest.raises(SeriesFormatError):
             ser.from_json_dict({"order": 3, "coeffs": [[1.0, 0.0], [0.5, 0.0]]})
+
+    def test_count_is_checked_before_any_entry(self):
+        # the entries are not even well formed: the count refuses the file first
+        with pytest.raises(SeriesFormatError, match="must carry exactly 2 coefficients"):
+            ser.from_json_dict({"order": 2, "coeffs": ["x"] * 5})
 
     def test_function_kind_cannot_hold_constant(self):
         g = TruncatedSeries((1 + 0j, 0.5 + 0j))

@@ -455,6 +455,17 @@ class TestLedger:
         assert all(r.status in (STATUS_RECONSTRUCTED, STATUS_VIOLATED)
                    for r in report.records)
 
+    def test_user_conic_only_outside_the_builtin_apertures(self):
+        # at k = 0 and k = 1 the ledger keeps its built-in coefficients
+        user = ConicCoefficients(1.0, 1.0, 1.0)
+        report = run_ledger([ClassParams(1.0, 0.0, 0.0), ClassParams(1.0, 2.0, 0.0)],
+                            user_conic=user)
+        at_k0 = [r for r in report.records if r.k == 0.0]
+        at_k2 = [r for r in report.records if r.k == 2.0]
+        assert at_k0 and at_k2
+        assert {(r.provenance, r.P1, r.P2, r.P3) for r in at_k0} == {("builtin-k0", 2.0, 2.0, 2.0)}
+        assert {(r.provenance, r.P1, r.P2, r.P3) for r in at_k2} == {("user", 1.0, 1.0, 1.0)}
+
     def test_ledger_determinism(self):
         points = [ClassParams(0.8, 0.0, 0.25)]
         r1 = run_ledger(points)
