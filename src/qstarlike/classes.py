@@ -32,7 +32,7 @@ import numpy as np
 
 from . import series as ser
 from .conic import ClassParams, conic_margin
-from .qcalc import bracket_table, symmetric_q_number, symmetric_q_derivative
+from .qcalc import bracket_table, symmetric_q_derivative
 from .series import DEFAULT_ORDER, TruncatedSeries, grid_point, require_normalized
 
 CERTIFIED_MEMBER_SUFFICIENT = "member-sufficient"
@@ -113,15 +113,15 @@ def convex_weight_rows(lams: np.ndarray) -> np.ndarray:
 
 
 def threshold_denominator(n: int, p: ClassParams) -> float:
-    """phi_n = [n]~_q (k+1) - (k + alpha), positive for every n >= 2."""
+    """phi_n = [n]~_q (k+1) - (k + alpha), positive for every n >= 2: phi_table's entry."""
     if n < 2:
         raise ValueError(f"threshold weights start at n = 2, got {n}")
-    return symmetric_q_number(n, p.q) * (p.k + 1.0) - (p.k + p.alpha)
+    return float(phi_table(p, n)[n - 2])
 
 
 @lru_cache(maxsize=64)
 def phi_table(p: ClassParams, order: int) -> np.ndarray:
-    """Read-only (phi_2, ..., phi_order), elementwise equal to threshold_denominator.
+    """Read-only (phi_2, ..., phi_order), phi_n = [n]~_q (k+1) - (k + alpha); the one table.
 
     A weight that overflows a double raises OverflowError naming its n; it
     would otherwise turn into inf, and inf * 0 into NaN in every weighted sum.

@@ -69,7 +69,6 @@ from .hankel import (
     fekete_szego_bound_complex,
     fekete_szego_breakpoint,
     h2_bound,
-    hankel_quantities,
     printed_corollary_values,
     refuse_overflow,
     schwarz_to_coefficients,
@@ -362,21 +361,16 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), indent=1) + "\n"
 
     def csv_rows(self) -> list[dict]:
+        """Each record's to_json_dict(), with point and argmax flattened into CSV_FIELDS."""
         rows = []
         for r in self.records:
-            am = r.argmax or {}
-            x = am.get("x") or [None, None]
-            zeta = am.get("zeta") or [None, None]
-            rows.append({
-                "claim": r.claim, "q": r.q, "k": r.k, "alpha": r.alpha,
-                "P1": r.P1, "P2": r.P2, "P3": r.P3, "provenance": r.provenance,
-                "mu": r.mu, "bound": r.bound, "oracle": r.oracle,
-                "slack": r.slack, "status": r.status,
-                "argmax_B1": am.get("B1"),
-                "argmax_x_re": x[0], "argmax_x_im": x[1],
-                "argmax_zeta_re": zeta[0], "argmax_zeta_im": zeta[1],
-                "anchor": r.anchor,
-            })
+            row = r.to_json_dict()
+            row.update(row.pop("point"))
+            argmax = row.pop("argmax") or {}
+            row["argmax_B1"] = argmax.get("B1")
+            for name in ("x", "zeta"):
+                row[f"argmax_{name}_re"], row[f"argmax_{name}_im"] = argmax.get(name, (None, None))
+            rows.append(row)
         return rows
 
     def csv_text(self) -> str:
@@ -394,12 +388,6 @@ def default_parameter_points() -> tuple[ClassParams, ...]:
         for q in (0.5, 0.8, 1.0)
         for (k, a) in ((0.0, 0.0), (0.0, 0.25), (1.0, 0.0), (1.0, 0.5))
     )
-
-
-def _status(slack: float, reconstructed: bool) -> str:
-    if slack < -TOLERANCE:
-        return STATUS_VIOLATED
-    return STATUS_RECONSTRUCTED if reconstructed else STATUS_VERIFIED
 
 
 def _distortion_oracles(p: ClassParams, radius: float):
@@ -495,27 +483,30 @@ def run_ledger(
 
 
 def _point_records(p, user_conic, rng_seed, index) -> list[LedgerRecord]:
-    def record(claim, anchor, bound, oracle, conic=None, argmax=None, mu=None,
-               status=None):
-        slack = None if (bound is None or oracle is None) else bound - oracle
-        if status is None:
-            status = _status(slack, conic.is_reconstructed if conic else False)
-        return LedgerRecord(
-            claim=claim, anchor=anchor, q=p.q, k=p.k, alpha=p.alpha,
-            P1=conic.P1 if conic else None, P2=conic.P2 if conic else None,
-            P3=conic.P3 if conic else None,
-            provenance=conic.provenance if conic else None,
-            bound=bound, oracle=oracle, slack=slack, status=status,
-            argmax=argmax, mu=mu,
-        )
-
     try:
         P = conic_coefficients(p.k, p.alpha, user=user_conic if p.k not in (0.0, 1.0) else None)
     except UnsupportedConicRegimeError:
-        return [record(
-            "conic-coefficients", "disk-map coefficients unavailable for this aperture",
-            None, None, status=STATUS_MISSING,
+        return [LedgerRecord(
+            claim="conic-coefficients",
+            anchor="disk-map coefficients unavailable for this aperture",
+            q=p.q, k=p.k, alpha=p.alpha, P1=None, P2=None, P3=None, provenance=None,
+            bound=None, oracle=None, slack=None, status=STATUS_MISSING,
         )]
+
+    def record(claim, anchor, bound, oracle, mu=None):
+        """One claim at p; the oracle is a number, or an OracleResult whose argmax is kept."""
+        argmax = None
+        if isinstance(oracle, OracleResult):
+            oracle, argmax = oracle.value, oracle.argmax_json()
+        slack = bound - oracle
+        # the ledger's one status rule; P.is_reconstructed is False only for the k = 0 map
+        status = (STATUS_VIOLATED if slack < -TOLERANCE else
+                  STATUS_RECONSTRUCTED if P.is_reconstructed else STATUS_VERIFIED)
+        return LedgerRecord(
+            claim=claim, anchor=anchor, q=p.q, k=p.k, alpha=p.alpha,
+            P1=P.P1, P2=P.P2, P3=P.P3, provenance=P.provenance,
+            bound=bound, oracle=oracle, slack=slack, status=status, argmax=argmax, mu=mu,
+        )
 
     out: list[LedgerRecord] = []
 
@@ -523,52 +514,46 @@ def _point_records(p, user_conic, rng_seed, index) -> list[LedgerRecord]:
     out.append(record(
         "second-hankel-bound",
         "closed-form bound on |a2 a4 - a3^2| via the quadratic maximum over t = B1^2",
-        h2_bound(P, p.q), h2_oracle.value, conic=P, argmax=h2_oracle.argmax_json(),
+        h2_bound(P, p.q), h2_oracle,
     ))
 
     fs_mus = {"0": 0.0, "0.5": 0.5, "1": 1.0, "star": fekete_szego_breakpoint(p.q)}
     fs_results = dict(zip(fs_mus, oracle_fs_rows(tuple(fs_mus.values()), P, p.q)))
     for label, mu in fs_mus.items():
-        fs = fs_results[label]
         out.append(record(
             f"fekete-szego-mu-{label}",
             "closed-form bound on |a3 - mu a2^2|",
-            fekete_szego_bound_complex(mu, P, p.q), fs.value,
-            conic=P, argmax=fs.argmax_json(), mu=mu,
+            fekete_szego_bound_complex(mu, P, p.q), fs_results[label], mu=mu,
         ))
 
     printed = printed_corollary_values(P, p.q)
     out.append(record(
         "printed-first-hankel-shortcut",
         "printed shortcut for |a3 - a2^2|; can go negative, retained for documentation",
-        printed.h21_printed, fs_results["1"].value,
-        conic=P, argmax=fs_results["1"].argmax_json(), mu=1.0,
+        printed.h21_printed, fs_results["1"], mu=1.0,
     ))
     out.append(record(
         "printed-third-coefficient-shortcut",
         "printed shortcut for |a3|; differs from the mu=0 bound by a factor (q^2 - q + 1)",
-        printed.a3_printed, fs_results["0"].value,
-        conic=P, argmax=fs_results["0"].argmax_json(), mu=0.0,
+        printed.a3_printed, fs_results["0"], mu=0.0,
     ))
     out.append(record(
         "printed-quadratic-coefficient-example",
         "printed largest certified |a2| example vs the n=2 sufficient threshold",
-        _printed_a2_example(p), coefficient_threshold(2, p), conic=P,
+        _printed_a2_example(p), coefficient_threshold(2, p),
     ))
 
     if p.q == 1.0 and p.k == 1.0 and p.alpha == 0.0:
-        hq = hankel_quantities(P, p.q)
+        q3 = symmetric_gaps(p.q)[1]
         out.append(record(
             "printed-classical-h2-limit",
             "printed classical-limit constant 16/pi^2 for the parabolic regime",
-            printed.h2_limit_printed, h2_oracle.value,
-            conic=P, argmax=h2_oracle.argmax_json(),
+            printed.h2_limit_printed, h2_oracle,
         ))
         out.append(record(
             "endpoint-classical-h2-limit",
             "t=0 endpoint value P1^2/q3^2 of the quadratic in the same limit",
-            P.P1**2 / hq.q3**2, h2_oracle.value,
-            conic=P, argmax=h2_oracle.argmax_json(),
+            P.P1**2 / q3**2, h2_oracle,
         ))
 
     f2 = extremal_function(2, p)
@@ -576,7 +561,7 @@ def _point_records(p, user_conic, rng_seed, index) -> list[LedgerRecord]:
     out.append(record(
         "t-class-budget-sharpness",
         "coefficient budget 1 - alpha is exactly attained by the n=2 extremal",
-        1.0 - p.alpha, attained, conic=P,
+        1.0 - p.alpha, attained,
     ))
 
     radius = 0.9
@@ -584,12 +569,12 @@ def _point_records(p, user_conic, rng_seed, index) -> list[LedgerRecord]:
     out.append(record(
         "growth-envelope-upper",
         f"growth envelope r + c r^2 at r = {radius} over the extreme points",
-        distortion_bounds(radius, p)[1], f_max, conic=P,
+        distortion_bounds(radius, p)[1], f_max,
     ))
     out.append(record(
         "derivative-envelope-upper",
         f"derivative envelope 1 + 2 c r at r = {radius} over the extreme points",
-        derivative_distortion_bounds(radius, p)[1], df_max, conic=P,
+        derivative_distortion_bounds(radius, p)[1], df_max,
     ))
 
     # one seed stream per sampled oracle, so neither moves the other's draws
@@ -597,12 +582,12 @@ def _point_records(p, user_conic, rng_seed, index) -> list[LedgerRecord]:
     out.append(record(
         "extreme-point-roundtrip",
         "convex decomposition over the extremal functions round-trips (error vs 0)",
-        0.0, _roundtrip_oracle(p, np.random.default_rng(roundtrip_seed)), conic=P,
+        0.0, _roundtrip_oracle(p, np.random.default_rng(roundtrip_seed)),
     ))
     out.append(record(
         "sufficient-condition-sampled",
         "certified members keep a nonnegative conic margin as z -> 1, where it is least "
         "(violation vs 0)",
-        0.0, _sufficiency_oracle(p, np.random.default_rng(sufficiency_seed)), conic=P,
+        0.0, _sufficiency_oracle(p, np.random.default_rng(sufficiency_seed)),
     ))
     return out

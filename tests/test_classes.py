@@ -34,7 +34,7 @@ from qstarlike.classes import (
     ts_membership,
 )
 from qstarlike.conic import ClassParams
-from qstarlike.qcalc import symmetric_q_derivative
+from qstarlike.qcalc import symmetric_q_derivative, symmetric_q_number
 from qstarlike.series import (
     GRID_ANGLES,
     GRID_RADII,
@@ -78,11 +78,16 @@ class TestThreshold:
             coefficient_threshold(1, P_HALF)
 
     def test_phi_table_matches_threshold_denominator(self):
+        # threshold_denominator reads phi_table, so both meet the formula written out
         for p in (P_HALF, P_CLASSICAL, ClassParams(0.8, 0.5, 0.2)):
             for order in (1, 2, 16, 64):
                 phi = phi_table(p, order)
-                assert phi.tolist() == [cls.threshold_denominator(n, p)
-                                        for n in range(2, order + 1)]
+                formula = [symmetric_q_number(n, p.q) * (p.k + 1.0) - (p.k + p.alpha)
+                           for n in range(2, order + 1)]
+                assert phi.tolist() == formula
+                assert [cls.threshold_denominator(n, p) for n in range(2, order + 1)] == formula
+                assert all(type(cls.threshold_denominator(n, p)) is float
+                           for n in range(2, order + 1))
                 assert not phi.flags.writeable
 
     @pytest.mark.filterwarnings("error")

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from qstarlike import series as ser
-from qstarlike.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, MAX_INPUT_BYTES, main
+from qstarlike.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, MAX_INPUT_BYTES, MAX_POINTS, main
 
 
 def run_cli(capsys, *argv):
@@ -490,11 +490,15 @@ class TestEntryPoint:
         # the sampled membership test evaluates on a numpy grid; this case keeps
         # the probe from passing by never reporting numpy at all
         (("member", "--in", "{f}", "--q", "0.5", "--k", "0", "--alpha", "0"), EXIT_OK, True),
+        # the points file is read, and refused, before the ledger's modules load
+        (("ledger", "--points", "{points}"), EXIT_ERROR, False),
     ], ids=["version", "qnum", "deriv", "hankel-bound", "fs-bound", "bad-radius",
             "bad-extremal-index", "extremal-n-above-cap", "extremal-order-above-cap", "nan-n",
-            "member"])
+            "member", "ledger-points-above-cap"])
     def test_closed_form_verbs_do_not_load_numpy(self, tmp_path, argv, code, numpy_loaded):
         fpath = write_function(tmp_path / "f.json", [1.0, 0.01])
+        points = tmp_path / "points.json"
+        points.write_text(POINTS_PAST_CAP)
         probe = (
             "import contextlib, io, json, sys\n"
             "from qstarlike import cli\n"
@@ -506,7 +510,7 @@ class TestEntryPoint:
             "        code = exc.code\n"
             "print(json.dumps([code, 'numpy' in sys.modules]))\n"
         )
-        argv = [a.format(f=fpath) for a in argv]
+        argv = [a.format(f=fpath, points=points) for a in argv]
         proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -702,6 +706,7 @@ BIG_INT = "1" + "0" * 400  # a JSON integer that no double can hold
 # what deriv --out writes: readable by no verb, since each needs a normalized series
 DERIVATIVE_FILE = json.dumps(ser.to_json_dict(ser.TruncatedSeries((1, 1.5, 0)), kind="derivative"))
 CLASS_FLAGS = ("--q", "0.5", "--k", "0", "--alpha", "0")
+POINTS_PAST_CAP = json.dumps([{"q": 1, "k": 0, "alpha": 0}] * (MAX_POINTS + 1))
 ONE_DIAGNOSTIC_ROWS = {
     # name: (argv, with {path} for the input file; the file's text or None; the flag)
     "k-nan": (("distortion", "--r", "0.5", "--q", "0.5", "--k", "nan", "--alpha", "0"),
@@ -726,6 +731,8 @@ ONE_DIAGNOSTIC_ROWS = {
     # an empty list padded past the cap: read whole, it would run a ledger of no points
     "points-above-byte-cap": (("ledger", "--points", "{path}"), "[" + " " * MAX_INPUT_BYTES + "]",
                               "--points"),
+    # well inside the byte cap, yet each point would cost a ledger's worth of records
+    "points-above-count-cap": (("ledger", "--points", "{path}"), POINTS_PAST_CAP, "--points"),
     "member-derivative-file": ((*IN_VERBS["member"], "{path}"), DERIVATIVE_FILE, "--in"),
     "deriv-derivative-file": ((*IN_VERBS["deriv"], "{path}"), DERIVATIVE_FILE, "--in"),
     "decompose-derivative-file": ((*IN_VERBS["decompose"], "{path}"), DERIVATIVE_FILE, "--in"),

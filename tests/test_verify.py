@@ -466,6 +466,36 @@ class TestLedger:
         assert {(r.provenance, r.P1, r.P2, r.P3) for r in at_k0} == {("builtin-k0", 2.0, 2.0, 2.0)}
         assert {(r.provenance, r.P1, r.P2, r.P3) for r in at_k2} == {("user", 1.0, 1.0, 1.0)}
 
+    @pytest.mark.parametrize("points, user", [
+        (default_parameter_points(), None),
+        ([ClassParams(0.5, 0.5, 0.1)], None),  # no disk-map coefficients: the missing record
+        ([ClassParams(0.8, 2.0, 0.0)], ConicCoefficients(1.0, 0.5, 0.25)),
+        ([], None),
+    ], ids=["default", "missing", "user-P", "empty"])
+    def test_csv_rows_match_json_records(self, points, user):
+        # every column of every CSV row is the JSON record's value, as the csv
+        # module writes it: None as "", a float as its repr
+        report = run_ledger(points, user_conic=user)
+        doc = json.loads(report.json_text())
+        reader = csv.DictReader(io.StringIO(report.csv_text()))
+        rows = list(reader)
+        assert reader.fieldnames == CSV_FIELDS
+        expected = []
+        for rec in doc["records"]:
+            argmax = rec["argmax"] or {"B1": None, "x": [None, None], "zeta": [None, None]}
+            flat = {
+                "claim": rec["claim"], **rec["point"], "mu": rec["mu"], "bound": rec["bound"],
+                "oracle": rec["oracle"], "slack": rec["slack"], "status": rec["status"],
+                "argmax_B1": argmax["B1"],
+                "argmax_x_re": argmax["x"][0], "argmax_x_im": argmax["x"][1],
+                "argmax_zeta_re": argmax["zeta"][0], "argmax_zeta_im": argmax["zeta"][1],
+                "anchor": rec["anchor"],
+            }
+            assert len(flat) == len(CSV_FIELDS) == 19
+            expected.append({name: "" if v is None else str(v) for name, v in flat.items()})
+        assert rows == expected
+        assert len(rows) == len(report.records)
+
     def test_ledger_determinism(self):
         points = [ClassParams(0.8, 0.0, 0.25)]
         r1 = run_ledger(points)
