@@ -92,24 +92,19 @@ class DecompositionWeights:
 def convex_weight_rows(lams: np.ndarray) -> np.ndarray:
     """Validated copy of an (R, N) array whose rows are convex weight vectors.
 
-    Row by row, as DecompositionWeights (the one-row case) checks: each
-    row must be nonempty, nonnegative up to 1e-12 and sum to 1 within
-    1e-12, the sum correctly rounded; weights slightly below 0 are
-    clamped to 0.
+    As DecompositionWeights (the one-row case) checks: each row must be
+    nonempty, nonnegative up to 1e-12 and sum to 1 within 1e-12, the sum
+    correctly rounded; weights slightly below 0 are clamped to 0.
     """
     if lams.shape[1] == 0:
         raise ValueError("weight vector is empty")
-    clamp = False
-    for row in lams.tolist():
-        lowest = min(row)
-        if lowest < -1e-12:
-            raise ValueError("weights must be nonnegative")
-        total = math.fsum(row)
-        # Written so that a NaN weight, which min() may pass over, fails here.
-        if not abs(total - 1.0) <= 1e-12:
-            raise ValueError(f"weights must sum to 1, got {total!r}")
-        clamp = clamp or lowest < 0.0
-    return np.where(lams < 0.0, 0.0, lams) if clamp else lams.copy()
+    if (lams < -1e-12).any():
+        raise ValueError("weights must be nonnegative")
+    # Written so that a NaN weight, which no comparison catches, fails here.
+    off = [total for total in map(math.fsum, lams.tolist()) if not abs(total - 1.0) <= 1e-12]
+    if off:
+        raise ValueError(f"weights must sum to 1, got {off[0]!r}")
+    return np.where(lams < 0.0, 0.0, lams)
 
 
 def threshold_denominator(n: int, p: ClassParams) -> float:
@@ -244,8 +239,9 @@ def sampled_membership(f: TruncatedSeries, p: ClassParams) -> MembershipVerdict:
     ratio of two polynomials' values, exact at each point.
     """
     require_normalized(f, "membership sampling")
-    numerator = ser.shift_up(symmetric_q_derivative(f, p.q))  # order f.order, like f
-    f_vals, num_vals = ser.evaluate_rows_on_grid([f.coeffs, numerator.coeffs])
+    # z D~_q f has order f.order, like f
+    numerator = (0j, *symmetric_q_derivative(f, p.q).coeffs)
+    f_vals, num_vals = ser.evaluate_rows_on_grid([f.coeffs, numerator])
     tiny = np.abs(f_vals) < 1e-12
     if tiny.any():
         i, j = map(int, np.argwhere(tiny)[0])
@@ -328,17 +324,14 @@ def decompose_rows(magnitudes: np.ndarray, p: ClassParams) -> np.ndarray:
     """
     with np.errstate(over="ignore"):
         lams = phi_table(p, magnitudes.shape[1] + 1) * magnitudes / (1.0 - p.alpha)
-    out = np.empty((lams.shape[0], lams.shape[1] + 1))
-    out[:, 1:] = lams
-    for i, total in enumerate(_budget_sums(lams.tolist(), p)):
-        lam1 = 1.0 - total
-        if lam1 < -1e-12:
-            raise DecompositionError(
-                f"not in the class (coefficient sum exceeds the budget by {-lam1:.3e}); "
-                "no convex decomposition over the extreme points exists"
-            )
-        out[i, 0] = max(0.0, lam1)
-    return out
+    lam1 = 1.0 - np.array(_budget_sums(lams.tolist(), p))
+    over = lam1 < -1e-12
+    if over.any():
+        raise DecompositionError(
+            "not in the class (coefficient sum exceeds the budget by "
+            f"{-lam1[over.argmax()]:.3e}); no convex decomposition over the extreme points exists"
+        )
+    return np.concatenate((np.maximum(0.0, lam1)[:, None], lams), axis=1)
 
 
 def extreme_point_compose(

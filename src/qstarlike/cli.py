@@ -362,12 +362,13 @@ def _ledger_summary(report) -> str:
 
 
 def _cmd_ledger(args) -> int:
-    # the file is read before numpy loads, so a refused --points file never loads it
+    # the inputs are read before numpy loads, so a refused one never loads it
     points = _read_json(args.points, "points", _points_from_json) if args.points else None
+    user_conic = _user_conic(args)
     from . import verify as ver
 
     report = ver.run_ledger(ver.default_parameter_points() if points is None else points,
-                            user_conic=_user_conic(args))
+                            user_conic=user_conic)
     if args.format == "json":
         text = report.json_text()
     elif args.format == "csv":

@@ -5,9 +5,9 @@ z^0 .. z^N; N is the truncation order.  Normalized analytic functions
 f(z) = z + a2 z^2 + ... are the special case c0 = 0, c1 = 1.  All values
 are immutable and every operation is a pure function.
 
-The operations are the quotient of two series, multiplication by z,
-evaluation on the membership-scan grid and the function-file format;
-nothing here attempts analytic continuation or arbitrary precision.
+The operations are the quotient of two series, evaluation on the
+membership-scan grid and the function-file format; nothing here
+attempts analytic continuation or arbitrary precision.
 """
 
 from __future__ import annotations
@@ -166,11 +166,6 @@ def _forward_substitute(fs, gs, m: int) -> list[complex]:
         terms.extend(-gs[i] * out[j - i] for i in range(1, min(j, len(gs) - 1) + 1))
         out[j] = _fsum_complex(terms) / lead
     return out
-
-
-def shift_up(f: TruncatedSeries) -> TruncatedSeries:
-    """Multiply by z: (c0, c1, ...) -> (0, c0, c1, ...), order grows by one."""
-    return TruncatedSeries((0j,) + f.coeffs)
 
 
 # The membership-scan grid: 24 radii 0.04 .. 0.96 plus a near-boundary ring

@@ -431,14 +431,11 @@ def _sufficiency_oracle(p: ClassParams, rng) -> float:
     """
     a = random_certified_rows(p, rng, SUFFICIENCY_MEMBERS, DEFAULT_ORDER)
     brackets = np.array(bracket_table(p.q, a.shape[1] + 1, True)[1:])
-    worst = 0.0
-    for row, weighted in zip((-a).tolist(), (-(brackets * a)).tolist()):
-        f_one = math.fsum([1.0, *row])
-        if not f_one > 0.0:
-            return math.inf
-        dq_one = math.fsum([1.0, *weighted])
-        worst = max(worst, -conic_margin(dq_one / f_one, p.k, p.alpha))
-    return worst
+    f_one = np.array([math.fsum([1.0, *row]) for row in (-a).tolist()])
+    if not (f_one > 0.0).all():
+        return math.inf
+    dq_one = np.array([math.fsum([1.0, *row]) for row in (-(brackets * a)).tolist()])
+    return max(0.0, float(-conic_margin(dq_one / f_one, p.k, p.alpha).min()))
 
 
 def _printed_a2_example(p: ClassParams) -> float:

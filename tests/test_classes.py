@@ -42,7 +42,6 @@ from qstarlike.series import (
     evaluate_on_grid,
     evaluate_rows_on_grid,
     grid_point,
-    shift_up,
 )
 from qstarlike.verify import default_parameter_points
 
@@ -471,6 +470,12 @@ class TestRowKernels:
         rows = np.array([(1.0,) + (0.0,) * (len(lams) - 1), lams])
         assert _refusal(convex_weight_rows, rows) == want
 
+    @pytest.mark.parametrize("lams", [(math.nan, 1.5, -0.5), (1.5, math.nan, -0.5)])
+    def test_negative_weight_is_named_wherever_a_nan_sits(self, lams):
+        want = (ValueError, "weights must be nonnegative")
+        assert _refusal(DecompositionWeights, lams) == want
+        assert _refusal(convex_weight_rows, np.array([lams])) == want
+
     def test_weight_clamp(self):
         lams = (1.0 + 1e-13, -1e-13)
         got = convex_weight_rows(np.array([lams, (0.25, 0.75)]))
@@ -501,6 +506,10 @@ class TestRowKernels:
         want = _refusal(extreme_point_decompose, f, P_HALF)
         assert want[0] is DecompositionError
         assert _refusal(decompose_rows, t_form_rows(np.array([f.coeffs[2:]])), P_HALF) == want
+        # a valid row before the over-budget one does not hide it
+        valid = member(1.0, -0.5 * coefficient_threshold(2, P_HALF))
+        tails = t_form_rows(np.array([valid.coeffs[2:], f.coeffs[2:]]))
+        assert _refusal(decompose_rows, tails, P_HALF) == want
 
     def test_public_functions_are_the_one_row_case(self):
         rng = np.random.default_rng(11)
@@ -517,7 +526,7 @@ class TestGridProduct:
     def test_one_product_matches_two_evaluations(self, seed):
         for index, p in enumerate(default_parameter_points()):
             f = random_certified_member(p, np.random.default_rng([seed, index]))
-            numerator = shift_up(symmetric_q_derivative(f, p.q))
+            numerator = TruncatedSeries((0j, *symmetric_q_derivative(f, p.q).coeffs))
             f_vals, num_vals = evaluate_rows_on_grid([f.coeffs, numerator.coeffs])
             assert np.array_equal(f_vals, evaluate_on_grid(f))
             assert np.array_equal(num_vals, evaluate_on_grid(numerator))

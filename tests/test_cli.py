@@ -492,9 +492,11 @@ class TestEntryPoint:
         (("member", "--in", "{f}", "--q", "0.5", "--k", "0", "--alpha", "0"), EXIT_OK, True),
         # the points file is read, and refused, before the ledger's modules load
         (("ledger", "--points", "{points}"), EXIT_ERROR, False),
+        # and so are the conic flags, which must come as a full set
+        (("ledger", "--P1", "1"), EXIT_ERROR, False),
     ], ids=["version", "qnum", "deriv", "hankel-bound", "fs-bound", "bad-radius",
             "bad-extremal-index", "extremal-n-above-cap", "extremal-order-above-cap", "nan-n",
-            "member", "ledger-points-above-cap"])
+            "member", "ledger-points-above-cap", "ledger-partial-P"])
     def test_closed_form_verbs_do_not_load_numpy(self, tmp_path, argv, code, numpy_loaded):
         fpath = write_function(tmp_path / "f.json", [1.0, 0.01])
         points = tmp_path / "points.json"

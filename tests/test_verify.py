@@ -53,6 +53,7 @@ from qstarlike.classes import (
     extremal_function,
     phi_table,
     random_certified_member,
+    random_certified_rows,
     sampled_membership,
     t_form_magnitudes,
 )
@@ -646,6 +647,11 @@ class TestExactSufficiencyOracle:
         vanishing = TruncatedSeries.from_taylor([1.0, -1.0])  # f(1) = 0
         monkeypatch.setattr(verify, "random_certified_rows", _drawing_only(vanishing))
         assert verify._sufficiency_oracle(p, np.random.default_rng(0)) == math.inf
+        # the vanishing member still counts when certified members come first
+        rows = np.vstack([random_certified_rows(p, np.random.default_rng(0), 19, 2),
+                          t_form_magnitudes(vanishing)])
+        monkeypatch.setattr(verify, "random_certified_rows", lambda *args: rows)
+        assert verify._sufficiency_oracle(p, np.random.default_rng(0)) == math.inf
 
 
 def _polynomial_candidates(consts):
@@ -671,7 +677,7 @@ class TestOneArrayPassPerPoint:
     """The batched ledger oracles give the bits of their one-item forms."""
 
     def test_member_margins_are_the_scalar_ones(self, monkeypatch):
-        # w(1) of every member, recorded where the oracle scores it, against
+        # w(1) of every member, the one array the oracle scores, against
         # fsum over the coefficients of f and of symmetric_q_derivative(f)
         seen = []
         monkeypatch.setattr(verify, "conic_margin",
@@ -687,7 +693,7 @@ class TestOneArrayPassPerPoint:
                     f_one = math.fsum(c.real for c in f.coeffs)
                     dq_one = math.fsum(c.real for c in symmetric_q_derivative(f, p.q).coeffs)
                     want.append(dq_one / f_one)
-                assert seen == want
+                assert len(seen) == 1 and seen[0].tolist() == want
 
     def test_fs_rows_are_oracle_fs_max(self):
         for P, q in _h2_oracle_cases():
