@@ -6,6 +6,14 @@ mode, machine formats (json/csv) carry exactly the same numbers, all
 human output uses 12 significant digits, and every machine payload
 embeds the tool version plus the full parameter set.
 
+Each verb has one way out.  Its handler only computes: it returns the
+exit code, the machine payload and the human lines, and ledger adds its
+report's csv_text.  main renders that once, in the --format asked for
+(_render), and writes the text to --out or to stdout, so both get the
+same bytes.  The payload's params echo is built by _payload from what
+the verb computed with, in order: its own flags, the ClassParams point,
+and the ConicCoefficients with their provenance when a disk map is used.
+
 Exit codes: 0 success / all verified; 2 membership witness found or
 ledger contains violations; 1 usage or IO error (single-line diagnostic
 naming the offending flag).
@@ -75,37 +83,29 @@ def _flatten(value, prefix: str, out: dict) -> None:
         out[prefix] = "" if value is None else value
 
 
-def _emit(payload: dict, human_lines, args) -> None:
-    if args.format == "json":
-        text = json.dumps(payload, indent=1) + "\n"
-    elif args.format == "csv":
-        flat: dict = {}
-        _flatten(payload, "", flat)
-        buf = io.StringIO()
-        writer = csv_module.DictWriter(buf, fieldnames=list(flat))
-        writer.writeheader()
-        writer.writerow(flat)
-        text = buf.getvalue()
-    else:
-        text = _lines_text(human_lines)
-    _write_text(text, args.out)
+def _render(fmt: str, payload: dict, lines, csv_text=None) -> str:
+    """The one rendering of a verb's result; csv_text, when given, makes its CSV table."""
+    if fmt == "json":
+        return json.dumps(payload, indent=1) + "\n"
+    if fmt == "human":
+        return "".join(line + "\n" for line in lines)
+    if csv_text is not None:
+        return csv_text()
+    flat: dict = {}
+    _flatten(payload, "", flat)
+    buf = io.StringIO()
+    writer = csv_module.DictWriter(buf, fieldnames=list(flat))
+    writer.writeheader()
+    writer.writerow(flat)
+    return buf.getvalue()
 
 
-def _lines_text(lines) -> str:
-    return "".join(line + "\n" for line in lines)
-
-
-def _write_text(text: str, path: str | None) -> None:
-    """Write text to path as rendered (no newline translation), or to stdout."""
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _payload(params: dict, **body) -> dict:
-    return {"tool": "qstarlike", "version": __version__, "params": params, **body}
+def _payload(*params, **body) -> dict:
+    """The machine payload; its params echo merges the dicts and dataclasses given, in order."""
+    echo: dict = {}
+    for part in params:
+        echo.update(part if isinstance(part, dict) else dataclasses.asdict(part))
+    return {"tool": "qstarlike", "version": __version__, "params": echo, **body}
 
 
 # --- input checks: argparse names the flag in each refusal ("argument --k: ...")
@@ -185,10 +185,10 @@ def _user_conic(args) -> ConicCoefficients | None:
     return ConicCoefficients(*flags)
 
 
-# --- subcommand handlers -----------------------------------------------------
+# --- subcommand handlers: each returns (exit code, payload, human lines[, csv_text])
 
 
-def _cmd_qnum(args) -> int:
+def _cmd_qnum(args):
     q, n = args.q, args.n
     if args.symmetric:
         if n < 1 or not n.is_integer():
@@ -197,23 +197,20 @@ def _cmd_qnum(args) -> int:
     else:
         value = qcalc.q_number(n, q)
     payload = _payload({"n": n, "q": q, "symmetric": bool(args.symmetric)}, value=value)
-    _emit(payload, [_fmt(value)], args)
-    return EXIT_OK
+    return EXIT_OK, payload, [_fmt(value)]
 
 
-def _cmd_deriv(args) -> int:
+def _cmd_deriv(args):
     q = args.q
     f = _read_json(args.in_path, "in", ser.from_json_dict)
     op = qcalc.symmetric_q_derivative if args.symmetric else qcalc.q_derivative
-    result = op(f, q)
-    doc = ser.to_json_dict(result, kind="derivative")
+    doc = ser.to_json_dict(op(f, q), kind="derivative")
     payload = _payload({"q": q, "symmetric": bool(args.symmetric), "in": args.in_path}, **doc)
     # the natural output of this verb is the series file itself
-    _emit(payload, [json.dumps(payload, indent=1)], args)
-    return EXIT_OK
+    return EXIT_OK, payload, [json.dumps(payload, indent=1)]
 
 
-def _cmd_member(args) -> int:
+def _cmd_member(args):
     p = ClassParams(args.q, args.k, args.alpha)
     f = _read_json(args.in_path, "in", ser.from_json_dict)
     from . import classes as cls
@@ -225,7 +222,7 @@ def _cmd_member(args) -> int:
         t_form = None
     sampled = cls.sampled_membership(f, p)
     payload = _payload(
-        {"q": p.q, "k": p.k, "alpha": p.alpha, "in": args.in_path},
+        p, {"in": args.in_path},
         sufficient=sufficient.to_json_dict(),
         t_form=None if t_form is None else t_form.to_json_dict(),
         sampled=sampled.to_json_dict(),
@@ -238,28 +235,22 @@ def _cmd_member(args) -> int:
     ]
     if sampled.witness is not None:
         lines.append(f"witness: {_fmt(sampled.witness)}")
-    _emit(payload, lines, args)
     witnessed = sampled.certified == cls.CERTIFIED_NOT_MEMBER_WITNESS or (
         t_form is not None and t_form.certified == cls.CERTIFIED_NOT_MEMBER_WITNESS
     )
-    return EXIT_FINDINGS if witnessed else EXIT_OK
+    return (EXIT_FINDINGS if witnessed else EXIT_OK), payload, lines
 
 
-def _cmd_extremal(args) -> int:
+def _cmd_extremal(args):
     p = ClassParams(args.q, args.k, args.alpha)
-    n = args.n
     from . import classes as cls
 
-    f = cls.extremal_function(n, p, order=args.order)
-    doc = ser.to_json_dict(f)
-    payload = _payload(
-        {"n": n, "q": p.q, "k": p.k, "alpha": p.alpha, "order": f.order}, **doc
-    )
-    _emit(payload, [json.dumps(payload, indent=1)], args)
-    return EXIT_OK
+    f = cls.extremal_function(args.n, p, order=args.order)
+    payload = _payload({"n": args.n}, p, {"order": f.order}, **ser.to_json_dict(f))
+    return EXIT_OK, payload, [json.dumps(payload, indent=1)]
 
 
-def _cmd_distortion(args) -> int:
+def _cmd_distortion(args):
     p = ClassParams(args.q, args.k, args.alpha)
     r = args.r
     from . import classes as cls
@@ -267,84 +258,69 @@ def _cmd_distortion(args) -> int:
     lo, hi = cls.distortion_bounds(r, p)
     dlo, dhi = cls.derivative_distortion_bounds(r, p)
     payload = _payload(
-        {"r": r, "q": p.q, "k": p.k, "alpha": p.alpha},
+        {"r": r}, p,
         lower=lo, upper=hi, derivative_lower=dlo, derivative_upper=dhi,
         coefficient=cls.distortion_coefficient(p),
     )
-    lines = [
-        f"|f|  in [{_fmt(lo)}, {_fmt(hi)}]",
-        f"|f'| in [{_fmt(dlo)}, {_fmt(dhi)}]",
-    ]
-    _emit(payload, lines, args)
-    return EXIT_OK
+    return EXIT_OK, payload, [f"|f|  in [{_fmt(lo)}, {_fmt(hi)}]",
+                              f"|f'| in [{_fmt(dlo)}, {_fmt(dhi)}]"]
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     p = ClassParams(args.q, args.k, args.alpha)
     f = _read_json(args.in_path, "in", ser.from_json_dict)
     from . import classes as cls
 
     weights = cls.extreme_point_decompose(f, p)
-    payload = _payload(
-        {"q": p.q, "k": p.k, "alpha": p.alpha, "in": args.in_path},
-        lambdas=list(weights.lambdas),
-    )
+    payload = _payload(p, {"in": args.in_path}, lambdas=list(weights.lambdas))
     lines = [f"lambda_{n}: {_fmt(v)}" for n, v in enumerate(weights.lambdas, start=1) if v > 0]
-    _emit(payload, lines or ["all weights zero"], args)
-    return EXIT_OK
+    return EXIT_OK, payload, lines or ["all weights zero"]
 
 
-def _cmd_hankel_bound(args) -> int:
+def _cmd_hankel_bound(args):
     p = ClassParams(args.q, args.k, args.alpha)
     P = _user_conic(args) or conic_coefficients(p.k, p.alpha)
     hq = hk.hankel_quantities(P, p.q)
     bound = hk.h2_bound(P, p.q)
-    payload = _payload(
-        {"q": p.q, "k": p.k, "alpha": p.alpha,
-         "P1": P.P1, "P2": P.P2, "P3": P.P3, "provenance": P.provenance},
-        bound=bound,
-        quantities=dataclasses.asdict(hq),
-    )
-    _emit(payload, [f"|a2 a4 - a3^2| <= {_fmt(bound)}"], args)
-    return EXIT_OK
+    payload = _payload(p, P, bound=bound, quantities=dataclasses.asdict(hq))
+    return EXIT_OK, payload, [f"|a2 a4 - a3^2| <= {_fmt(bound)}"]
 
 
-def _cmd_fs_bound(args) -> int:
+def _cmd_fs_bound(args):
     mu = complex(args.mu, args.mu_imag or 0.0)
     p = ClassParams(args.q, args.k, args.alpha)
     P = _user_conic(args) or conic_coefficients(p.k, p.alpha)
     bound = hk.fekete_szego_bound_complex(mu, P, p.q)
-    real_bound = None if mu.imag else hk.fekete_szego_bound_real(mu.real, P, p.q)
     payload = _payload(
-        {"q": p.q, "k": p.k, "alpha": p.alpha, "mu": [mu.real, mu.imag],
-         "P1": P.P1, "P2": P.P2, "P3": P.P3, "provenance": P.provenance},
-        bound=bound, bound_real_branch=real_bound,
+        p, {"mu": [mu.real, mu.imag]}, P,
+        bound=bound,
+        bound_real_branch=None if mu.imag else hk.fekete_szego_bound_real(mu.real, P, p.q),
         breakpoint=hk.fekete_szego_breakpoint(p.q),
     )
-    _emit(payload, [f"|a3 - mu a2^2| <= {_fmt(bound)}"], args)
-    return EXIT_OK
+    return EXIT_OK, payload, [f"|a3 - mu a2^2| <= {_fmt(bound)}"]
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     p = ClassParams(args.q, args.k, args.alpha)
     P = _user_conic(args) or conic_coefficients(p.k, p.alpha)
-    params = {"which": args.which, "q": p.q, "k": p.k, "alpha": p.alpha,
-              "mu": args.mu, "P1": P.P1, "P2": P.P2, "P3": P.P3}
     if args.which == "fs" and args.mu is None:
         raise CliError("--mu is required for the fs oracle")
+    if args.which == "h2" and (args.mu, args.mu_imag) != (None, None):
+        raise CliError("--mu and --mu-imag apply to the fs oracle only")
     from . import verify as ver
 
     if args.which == "h2":
-        result = ver.oracle_h2_max(P, p.q)
+        echo, result = {}, ver.oracle_h2_max(P, p.q)
     else:
-        result = ver.oracle_fs_max(complex(args.mu, args.mu_imag or 0.0), P, p.q)
-    payload = _payload(params, max=result.value, argmax=result.argmax_json())
-    _emit(payload, [f"oracle max: {_fmt(result.value)}",
-                    f"argmax B1: {_fmt(result.argmax.B1)}"], args)
-    return EXIT_OK
+        mu = complex(args.mu, args.mu_imag or 0.0)
+        echo, result = {"mu": [mu.real, mu.imag]}, ver.oracle_fs_max(mu, P, p.q)
+    payload = _payload({"which": args.which}, p, echo, P,
+                       max=result.value, argmax=result.argmax_json())
+    return EXIT_OK, payload, [f"oracle max: {_fmt(result.value)}",
+                              f"argmax B1: {_fmt(result.argmax.B1)}"]
 
 
-def _ledger_summary(report) -> str:
+def _ledger_summary(report) -> list[str]:
     """One line per record of a VerificationReport, then the violation count."""
     from . import verify as ver
 
@@ -358,10 +334,10 @@ def _ledger_summary(report) -> str:
         )
     n_violated = sum(r.status == ver.STATUS_VIOLATED for r in report.records)
     lines.append(f"{len(report.records)} records, {n_violated} violated")
-    return _lines_text(lines)
+    return lines
 
 
-def _cmd_ledger(args) -> int:
+def _cmd_ledger(args):
     # the inputs are read before numpy loads, so a refused one never loads it
     points = _read_json(args.points, "points", _points_from_json) if args.points else None
     user_conic = _user_conic(args)
@@ -369,14 +345,9 @@ def _cmd_ledger(args) -> int:
 
     report = ver.run_ledger(ver.default_parameter_points() if points is None else points,
                             user_conic=user_conic)
-    if args.format == "json":
-        text = report.json_text()
-    elif args.format == "csv":
-        text = report.csv_text()
-    else:
-        text = _ledger_summary(report)
-    _write_text(text, args.out)
-    return EXIT_FINDINGS if report.has_violations else EXIT_OK
+    # csv_text is handed over uncalled: only --format csv needs the table
+    return (EXIT_FINDINGS if report.has_violations else EXIT_OK, report.to_json_dict(),
+            _ledger_summary(report), report.csv_text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -468,7 +439,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.run(args)
+        code, *result = args.run(args)
+        text = _render(args.format, *result)
+        if args.out:  # as rendered, with no newline translation
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (ValueError, OSError, KeyError, OverflowError) as exc:  # CliError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -38,7 +38,23 @@ PROVENANCE_USER = "user"
 
 
 class UnsupportedConicRegimeError(ValueError):
-    """No built-in coefficients for this k and none supplied by the user."""
+    """No built-in coefficients for this k."""
+
+
+def _check_k(k) -> float:
+    """k as a float; refused unless finite and nonnegative."""
+    value = float(k)
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise ValueError(f"k must be a finite nonnegative real, got {k}")
+    return value
+
+
+def _check_alpha(alpha) -> float:
+    """alpha as a float; refused unless it lies in [0, 1)."""
+    value = float(alpha)
+    if not 0.0 <= value < 1.0:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -51,14 +67,8 @@ class ClassParams:
 
     def __post_init__(self):
         object.__setattr__(self, "q", validate_q(self.q))
-        k = float(self.k)
-        if not (k >= 0.0 and math.isfinite(k)):
-            raise ValueError(f"k must be a finite nonnegative real, got {self.k}")
-        object.__setattr__(self, "k", k)
-        alpha = float(self.alpha)
-        if not 0.0 <= alpha < 1.0:
-            raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "k", _check_k(self.k))
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
 
 
 @dataclass(frozen=True)
@@ -94,28 +104,17 @@ def conic_margin(w, k: float, alpha: float):
 
 def in_conic_domain(w: complex, k: float, alpha: float) -> bool:
     """Strict membership test Re w > k*|w - 1| + alpha."""
-    if k < 0.0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    return conic_margin(w, k, alpha) > 0.0
+    return conic_margin(w, _check_k(k), _check_alpha(alpha)) > 0.0
 
 
-def conic_coefficients(
-    k: float, alpha: float, user: ConicCoefficients | None = None
-) -> ConicCoefficients:
-    """Resolve (P1, P2, P3) for the regime (k, alpha).
+def conic_coefficients(k: float, alpha: float) -> ConicCoefficients:
+    """The built-in (P1, P2, P3) for the regime (k, alpha).
 
-    Built-ins exist for k = 0 and k = 1; any other k echoes the user
-    coefficients after invariant validation and raises
-    UnsupportedConicRegimeError when none are given.
+    Built-ins exist for k = 0 and k = 1; any other k raises
+    UnsupportedConicRegimeError, and a caller with its own coefficients
+    uses those instead.
     """
-    if k < 0.0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    if user is not None:
-        return ConicCoefficients(user.P1, user.P2, user.P3, provenance=PROVENANCE_USER)
+    k, alpha = _check_k(k), _check_alpha(alpha)
     if k == 0.0:
         c = 2.0 * (1.0 - alpha)
         return ConicCoefficients(c, c, c, provenance=PROVENANCE_BUILTIN_K0)

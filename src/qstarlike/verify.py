@@ -38,7 +38,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from .classes import (
     t_form_rows,
 )
 from .conic import (
+    PROVENANCE_USER,
     ClassParams,
     ConicCoefficients,
     UnsupportedConicRegimeError,
@@ -481,7 +482,11 @@ def run_ledger(
 
 def _point_records(p, user_conic, rng_seed, index) -> list[LedgerRecord]:
     try:
-        P = conic_coefficients(p.k, p.alpha, user=user_conic if p.k not in (0.0, 1.0) else None)
+        # user coefficients apply only where no built-in map exists, always as provenance user
+        if user_conic is not None and p.k not in (0.0, 1.0):
+            P = replace(user_conic, provenance=PROVENANCE_USER)
+        else:
+            P = conic_coefficients(p.k, p.alpha)
     except UnsupportedConicRegimeError:
         return [LedgerRecord(
             claim="conic-coefficients",

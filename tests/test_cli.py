@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 from qstarlike import series as ser
+from qstarlike.conic import conic_coefficients
 from qstarlike.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, MAX_INPUT_BYTES, MAX_POINTS, main
 
 
@@ -402,6 +404,55 @@ class TestNonFiniteFlags:
         assert_one_error_line(out, err, "phi_1024", "overflows")
 
 
+K1_FLAGS = ("--q", "0.5", "--k", "1", "--alpha", "0")
+K1_ECHO = {"q": 0.5, "k": 1.0, "alpha": 0.0}
+P_ECHO = dataclasses.asdict(conic_coefficients(1.0, 0.0))  # the built-in parabolic map
+FS_MU = ("--mu", "0.5", "--mu-imag", "0.25")
+ECHO_CASES = {
+    # name: (argv, with {f} for a function file; the params echo, in order)
+    "qnum": (("qnum", "--n", "3", "--q", "0.5", "--symmetric"),
+             {"n": 3.0, "q": 0.5, "symmetric": True}),
+    "deriv": (("deriv", "--in", "{f}", "--q", "0.5"), {"q": 0.5, "symmetric": False, "in": "{f}"}),
+    "member": (("member", "--in", "{f}", *K1_FLAGS), {**K1_ECHO, "in": "{f}"}),
+    "extremal": (("extremal", "--n", "3", *K1_FLAGS), {"n": 3, **K1_ECHO, "order": 32}),
+    "distortion": (("distortion", "--r", "0.5", *K1_FLAGS), {"r": 0.5, **K1_ECHO}),
+    "decompose": (("decompose", "--in", "{f}", *K1_FLAGS), {**K1_ECHO, "in": "{f}"}),
+    "hankel-bound": (("hankel-bound", *K1_FLAGS), {**K1_ECHO, **P_ECHO}),
+    "fs-bound": (("fs-bound", *FS_MU, *K1_FLAGS), {**K1_ECHO, "mu": [0.5, 0.25], **P_ECHO}),
+    # the oracle used to echo "mu": 0.5 for fs and "mu": null for h2, and no provenance
+    "oracle-h2": (("oracle", "--which", "h2", *K1_FLAGS), {"which": "h2", **K1_ECHO, **P_ECHO}),
+    "oracle-fs": (("oracle", "--which", "fs", *FS_MU, *K1_FLAGS),
+                  {"which": "fs", **K1_ECHO, "mu": [0.5, 0.25], **P_ECHO}),
+}
+
+
+def echo_inputs(tmp_path) -> dict:
+    """The {f} of ECHO_CASES: a small class member at the point K1_FLAGS."""
+    return {"f": write_function(tmp_path / "f.json", [1.0, -0.01], order=8)}
+
+
+class TestParamsEcho:
+    # params echoes the objects each verb computed with: its own flags, the
+    # class point and, where a disk map is used, P1..P3 with their provenance
+    @pytest.mark.parametrize("argv, echo", [
+        pytest.param(*case, id=name) for name, case in ECHO_CASES.items()
+    ])
+    def test_echo_is_what_the_verb_used(self, capsys, tmp_path, argv, echo):
+        paths = echo_inputs(tmp_path)
+        code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv), "--format", "json")
+        assert code == EXIT_OK, err
+        want = {k: v.format(**paths) if isinstance(v, str) else v for k, v in echo.items()}
+        assert list(json.loads(out)["params"].items()) == list(want.items())
+
+    # the h2 oracle reads no mu: these used to be accepted and echoed
+    @pytest.mark.parametrize("flags", [("--mu", "0.5"), ("--mu-imag", "0.25"), FS_MU],
+                             ids=["mu", "mu-imag", "both"])
+    def test_h2_oracle_refuses_mu(self, capsys, flags):
+        code, out, err = run_cli(capsys, "oracle", "--which", "h2", *flags, *K1_FLAGS)
+        assert code == EXIT_ERROR
+        assert_one_error_line(out, err, "--mu", "fs oracle only")
+
+
 class TestLedgerVerb:
     def test_single_point_with_reports(self, capsys, tmp_path):
         points = tmp_path / "points.json"
@@ -422,17 +473,23 @@ class TestLedgerVerb:
         json_rec = next(r for r in doc["records"] if r["claim"] == "second-hankel-bound")
         assert float(rec["bound"]) == json_rec["bound"] == pytest.approx(7.0)
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    # every verb, the ledger included, renders once and writes that text to
+    # --out or to stdout, so the two are the same bytes with the same exit code
+    @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
     def test_report_file_matches_stdout(self, capsys, tmp_path, fmt):
+        paths = echo_inputs(tmp_path)
         points = tmp_path / "points.json"
         points.write_text(json.dumps([{"q": 0.8, "k": 0.0, "alpha": 0.25}]))
-        out_path = tmp_path / f"out.{fmt}"
-        base = ("ledger", "--points", str(points), "--format", fmt)
-        code, stdout, _ = run_cli(capsys, *base)
-        assert code == EXIT_FINDINGS  # the printed shortcut rows
-        code, out, _ = run_cli(capsys, *base, "--out", str(out_path))
-        assert code == EXIT_FINDINGS and out == ""
-        assert out_path.read_bytes() == stdout.encode()
+        verbs = {name: argv for name, (argv, _) in ECHO_CASES.items()}
+        verbs["ledger"] = ("ledger", "--points", str(points))
+        for name, argv in verbs.items():
+            base = (*(a.format(**paths) for a in argv), "--format", fmt)
+            code, stdout, err = run_cli(capsys, *base)
+            want = EXIT_FINDINGS if name == "ledger" else EXIT_OK  # the printed shortcut rows
+            assert code == want, (name, err)
+            out_path = tmp_path / f"{name}.{fmt}"
+            assert run_cli(capsys, *base, "--out", str(out_path)) == (code, "", err)
+            assert out_path.read_bytes() == stdout.encode(), name
 
     def test_malformed_points_file(self, capsys, tmp_path):
         points = tmp_path / "points.json"

@@ -51,6 +51,24 @@ class TestMembershipPredicate:
         with pytest.raises(ValueError):
             in_conic_domain(1.0, 1.0, 1.0)
 
+    # one k rule and one alpha rule for all three: NaN and inf k used to pass
+    # the k < 0 test, so in_conic_domain answered False and conic_coefficients
+    # reported an unsupported regime
+    @pytest.mark.parametrize("k, alpha, words", [
+        *(pytest.param(k, 0.0, "k must be a finite nonnegative real", id=f"k={k}")
+          for k in (math.nan, math.inf, -math.inf, -0.5)),
+        *(pytest.param(1.0, a, r"alpha must lie in \[0, 1\)", id=f"alpha={a}")
+          for a in (math.nan, math.inf, 1.0)),
+    ])
+    @pytest.mark.parametrize("call", [
+        lambda k, a: in_conic_domain(2.0, k, a),
+        conic_coefficients,
+        lambda k, a: ClassParams(0.5, k, a),
+    ], ids=["in_conic_domain", "conic_coefficients", "ClassParams"])
+    def test_one_rule_for_k_and_one_for_alpha(self, call, k, alpha, words):
+        with pytest.raises(ValueError, match=words):
+            call(k, alpha)
+
     @pytest.mark.parametrize("k, alpha", [(0.0, 0.0), (0.5, 0.2), (1.0, 0.0), (2.7, 0.9)])
     def test_array_margin_is_the_scalar_margin(self, k, alpha):
         rng = np.random.default_rng(31)
@@ -128,11 +146,14 @@ class TestCoefficients:
             conic_coefficients(0.5, 0.1)
 
     def test_user_injection(self):
+        # conic_coefficients resolves the built-ins only; user coefficients are
+        # a ConicCoefficients of their own, which the ledger uses at k not in {0, 1}
         user = ConicCoefficients(1.0, 0.5, 0.25)
-        P = conic_coefficients(2.0, 0.0, user=user)
-        assert (P.P1, P.P2, P.P3) == (1.0, 0.5, 0.25)
-        assert P.provenance == "user"
-        assert P.is_reconstructed
+        assert (user.P1, user.P2, user.P3) == (1.0, 0.5, 0.25)
+        assert user.provenance == "user"
+        assert user.is_reconstructed
+        with pytest.raises(TypeError):
+            conic_coefficients(2.0, 0.0, user=user)
 
     def test_invariant_validation(self):
         with pytest.raises(ValueError):

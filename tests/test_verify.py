@@ -136,7 +136,7 @@ class TestOracleScans:
         # is interior (0 < arg x < pi) at many cells; at the built-ins it
         # sits at arg x = 0 or pi
         user = None if k in (0.0, 1.0) else ConicCoefficients(1.6, 0.7, 2.5)
-        P = conic_coefficients(k, alpha, user=user)
+        P = user or conic_coefficients(k, alpha)
         consts = (P.P1, P.P2, P.P3, *symmetric_gaps(q))
         b_axis = np.linspace(0.0, 2.0, 9)
         rho_axis = np.linspace(0.0, 1.0, 8)
@@ -455,6 +455,12 @@ class TestLedger:
         assert all(r.provenance == "user" for r in report.records)
         assert all(r.status in (STATUS_RECONSTRUCTED, STATUS_VIOLATED)
                    for r in report.records)
+
+    def test_user_conic_is_recorded_as_user(self):
+        # whatever provenance the caller's coefficients carry, the ledger labels them user
+        user = ConicCoefficients(1.0, 1.0, 1.0, provenance="builtin-k1")
+        report = run_ledger([ClassParams(1.0, 2.0, 0.0)], user_conic=user)
+        assert {(r.provenance, r.P1) for r in report.records} == {("user", 1.0)}
 
     def test_user_conic_only_outside_the_builtin_apertures(self):
         # at k = 0 and k = 1 the ledger keeps its built-in coefficients
