@@ -33,7 +33,7 @@ import numpy as np
 from . import series as ser
 from .conic import ClassParams, conic_margin
 from .qcalc import bracket_table, symmetric_q_derivative
-from .series import DEFAULT_ORDER, TruncatedSeries, grid_point, require_normalized
+from .series import DEFAULT_ORDER, GRID_ANGLES, TruncatedSeries, grid_point, require_normalized
 
 CERTIFIED_MEMBER_SUFFICIENT = "member-sufficient"
 CERTIFIED_MEMBER_IFF_NEGATIVE = "member-iff-negative"
@@ -237,28 +237,40 @@ def sampled_membership(f: TruncatedSeries, p: ClassParams) -> MembershipVerdict:
     in the punctured disk.  A grid cannot certify membership;
     certification comes only from the coefficient theorems.  w is the
     ratio of two polynomials' values, exact at each point.
+
+    A series with real coefficients takes conjugate values at conjugate
+    grid points, so its margins at t and -t agree bit for bit and the
+    angles 0 .. pi alone give the full grid's first witness and least
+    margin.  The zero test is skipped when sum |a_n| <= 1 - 1e-9, since
+    then |f(z)| >= |z| (1 - sum |a_n|) >= 4e-11 on the grid.
     """
     require_normalized(f, "membership sampling")
     # z D~_q f has order f.order, like f
     numerator = (0j, *symmetric_q_derivative(f, p.q).coeffs)
-    f_vals, num_vals = ser.evaluate_rows_on_grid([f.coeffs, numerator])
-    tiny = np.abs(f_vals) < 1e-12
-    if tiny.any():
-        i, j = map(int, np.argwhere(tiny)[0])
-        return MembershipVerdict(
-            CERTIFIED_NOT_MEMBER_WITNESS, margin=-math.inf, witness=grid_point(i, j)
-        )
+    angles = GRID_ANGLES if any(c.imag for c in f.coeffs) else GRID_ANGLES // 2 + 1
+    f_vals, num_vals = ser.evaluate_rows_on_grid([f.coeffs, numerator], angles)
+    # the plain sum errs by order * eps, far inside the 1e-9 slack, and
+    # returns inf where fsum would raise on an overflowing total
+    if not sum(map(abs, f.coeffs[2:])) <= 1.0 - 1e-9:
+        tiny = np.abs(f_vals) < 1e-12
+        if tiny.any():
+            i, j = map(int, np.argwhere(tiny)[0])
+            return MembershipVerdict(
+                CERTIFIED_NOT_MEMBER_WITNESS, margin=-math.inf, witness=grid_point(i, j)
+            )
     w_vals = num_vals / f_vals
     margins = conic_margin(w_vals, p.k, p.alpha)
-    failing = margins <= 0.0
-    if failing.any():
-        i, j = map(int, np.argwhere(failing)[0])  # lexicographic (radius, angle)
-        return MembershipVerdict(
-            CERTIFIED_NOT_MEMBER_WITNESS,
-            margin=float(margins[i, j]),
-            witness=grid_point(i, j),
-        )
-    return MembershipVerdict(CERTIFIED_INCONCLUSIVE, margin=float(margins.min()))
+    least = margins.min()
+    if not least > 0.0:  # a NaN margin takes this path too
+        failing = margins <= 0.0
+        if failing.any():
+            i, j = map(int, np.argwhere(failing)[0])  # lexicographic (radius, angle)
+            return MembershipVerdict(
+                CERTIFIED_NOT_MEMBER_WITNESS,
+                margin=float(margins[i, j]),
+                witness=grid_point(i, j),
+            )
+    return MembershipVerdict(CERTIFIED_INCONCLUSIVE, margin=float(least))
 
 
 def extremal_function(n: int, p: ClassParams, order: int | None = None) -> TruncatedSeries:

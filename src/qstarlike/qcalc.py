@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from functools import lru_cache
 
 from .series import NormalizationError, TruncatedSeries
@@ -134,7 +135,7 @@ def _apply_bracket_derivative(f: TruncatedSeries, q: float, symmetric: bool) -> 
     q = validate_q(q)
     factors = bracket_table(q, f.order, symmetric)
     try:
-        return TruncatedSeries(tuple(fac * c for fac, c in zip(factors, f.coeffs[1:])))
+        return TruncatedSeries(tuple(map(operator.mul, factors, f.coeffs[1:])))
     except ValueError:  # f and the factors are finite, so a product overflowed
         name = "D~_q" if symmetric else "D_q"
         raise OverflowError(f"{name} f overflows a double at q={q}") from None

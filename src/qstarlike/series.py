@@ -178,10 +178,16 @@ GRID_ANGLES = 96
 
 @lru_cache(maxsize=None)
 def _roots_of_unity():
-    """Read-only e^(i t_j) at the grid angles, j = 0 .. GRID_ANGLES - 1."""
+    """Read-only e^(i t_j) at the grid angles, j = 0 .. GRID_ANGLES - 1.
+
+    Entries up to j = GRID_ANGLES / 2 are each one exp (e^(i pi) is -1
+    exactly) and entry GRID_ANGLES - j is the exact conjugate of entry j, so
+    a series with real coefficients takes conjugate values at t and -t.
+    """
     import numpy as np
 
-    roots = np.exp(1j * (2.0 * np.pi * np.arange(GRID_ANGLES) / GRID_ANGLES))
+    half = np.exp(1j * (2.0 * np.pi * np.arange(GRID_ANGLES // 2) / GRID_ANGLES))
+    roots = np.concatenate((half, [-1.0], half[:0:-1].conj()))
     roots.flags.writeable = False
     return roots
 
@@ -215,21 +221,21 @@ def _radial_table(order: int):
     return table
 
 
-def evaluate_rows_on_grid(coeff_rows):
-    """Values of S series of one order on the grid; returns an (S, R, A) complex array.
+def evaluate_rows_on_grid(coeff_rows, angles: int = GRID_ANGLES):
+    """Values of S series of one order on the grid; returns an (S, R, angles) complex array.
 
-    coeff_rows is an (S, order + 1) array of coefficients c0 .. cN.  On the
-    polar grid f(r_i e^(i t_j)) = sum_n (c_n r_i^n) e^(i n t_j): the S
-    stacked (radii x order+1) radial matrices times the cached phase table,
-    one matrix product for all S series.
+    coeff_rows is an (S, order + 1) array of coefficients c0 .. cN; only the
+    first `angles` grid angles are evaluated.  On the polar grid
+    f(r_i e^(i t_j)) = sum_n r_i^n (c_n e^(i n t_j)): the real table of r_i^n
+    times the phase-weighted coefficients, read as (re, im) pairs of doubles,
+    one real matrix product per series.
     """
     import numpy as np
 
     coeff_rows = np.asarray(coeff_rows, dtype=complex)
-    count, width = coeff_rows.shape
-    radial = coeff_rows[:, None, :] * _radial_table(width - 1)
-    values = radial.reshape(-1, width) @ _phase_table(width - 1)
-    return values.reshape(count, len(GRID_RADII), GRID_ANGLES)
+    order = coeff_rows.shape[1] - 1
+    weighted = coeff_rows[:, :, None] * _phase_table(order)[:, :angles]
+    return (_radial_table(order) @ weighted.view(float)).view(complex)
 
 
 def evaluate_on_grid(f: TruncatedSeries):

@@ -1,12 +1,15 @@
 """Independent references the tests compare the program against.
 
 Plain truncated-series algebra (sum, Cauchy product, argument scaling,
-Horner evaluation) and the coefficients (a2, a3, a4) of the member that one
-Schwarz triple generates.  The program needs none of these; the operator
-identities, envelope checks and oracle cross-checks in the tests do.
+Horner evaluation), the coefficients (a2, a3, a4) of the member that one
+Schwarz triple generates, and the sampled membership scan over the whole
+grid.  The program needs none of these; the operator identities, envelope
+checks and oracle cross-checks in the tests do.
 """
 
 import math
+
+import numpy as np
 
 from qstarlike.hankel import (
     COEFF_BOUND_TOL,
@@ -14,7 +17,8 @@ from qstarlike.hankel import (
     schwarz_to_coefficients,
     symmetric_gaps,
 )
-from qstarlike.series import TruncatedSeries
+from qstarlike.qcalc import symmetric_q_derivative
+from qstarlike.series import TruncatedSeries, evaluate_rows_on_grid, grid_point
 
 
 def _fsum_complex(values) -> complex:
@@ -64,3 +68,24 @@ def coefficients_at(P, triple, q: float) -> tuple[complex, complex, complex]:
     assert abs(b2) <= 2.0 + COEFF_BOUND_TOL and abs(b3) <= 2.0 + COEFF_BOUND_TOL, (b2, b3)
     a2, a3, a4 = schwarz_to_coefficients(P.P1, P.P2, P.P3, *symmetric_gaps(q), triple.B1, b2, b3)
     return complex(a2), complex(a3), complex(a4)
+
+
+def full_grid_scan(f: TruncatedSeries, p) -> tuple[str, float, complex | None]:
+    """(certified, margin, witness) of the sampled check on every grid angle.
+
+    The zero test |f| < 1e-12 always runs first; then the first point in
+    (radius, angle) order with margin <= 0 is the witness, else the least
+    margin is reported as inconclusive.
+    """
+    numerator = (0j, *symmetric_q_derivative(f, p.q).coeffs)
+    f_vals, num_vals = evaluate_rows_on_grid([f.coeffs, numerator])
+    zeros = np.argwhere(np.abs(f_vals) < 1e-12)
+    if len(zeros):
+        return "not-member-witness", -math.inf, grid_point(*map(int, zeros[0]))
+    w = num_vals / f_vals
+    margins = w.real - p.k * np.abs(w - 1.0) - p.alpha
+    failing = np.argwhere(margins <= 0.0)
+    if len(failing):
+        i, j = map(int, failing[0])
+        return "not-member-witness", float(margins[i, j]), grid_point(i, j)
+    return "inconclusive", float(margins.min()), None

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import reference
 from qstarlike import classes as cls
@@ -33,7 +35,7 @@ from qstarlike.classes import (
     t_form_rows,
     ts_membership,
 )
-from qstarlike.conic import ClassParams
+from qstarlike.conic import ClassParams, conic_margin
 from qstarlike.qcalc import symmetric_q_derivative, symmetric_q_number
 from qstarlike.series import (
     GRID_ANGLES,
@@ -203,11 +205,12 @@ class TestSampledMembership:
         pytest.fail("manual scan found no witness")
 
     def test_vanishing_f_is_witness(self):
-        # f = z + z^2/0.52 vanishes at the grid point -0.52
+        # f = z + z^2/0.52 (sum |a_n| = 1.92, so the zero test runs) vanishes at the
+        # grid point -0.52, on angle pi: the last angle the scan of a real series covers
         verdict = sampled_membership(member(1.0, 1 / 0.52), P_HALF)
         assert verdict.certified == CERTIFIED_NOT_MEMBER_WITNESS
-        assert verdict.witness == grid_point(GRID_RADII.index(0.52), 48)
-        assert verdict.witness == pytest.approx(-0.52)
+        assert verdict.witness == grid_point(GRID_RADII.index(0.52), GRID_ANGLES // 2)
+        assert verdict.witness == -0.52
         assert verdict.margin == -math.inf
         assert verdict.to_json_dict()["margin"] is None
 
@@ -530,6 +533,88 @@ class TestGridProduct:
             f_vals, num_vals = evaluate_rows_on_grid([f.coeffs, numerator.coeffs])
             assert np.array_equal(f_vals, evaluate_on_grid(f))
             assert np.array_equal(num_vals, evaluate_on_grid(numerator))
+
+
+def _real_scan_cases():
+    """Real members and non-members at orders 2, 16, 32 and 64, and the order-1024 extremal."""
+    rng = np.random.default_rng(2027)
+    cases = []
+    for order in (2, 16, 32, 64):
+        for p in (P_HALF, ClassParams(0.9, 0.0, 0.25), ClassParams(0.8, 2.0, 0.1)):
+            f = random_certified_member(p, rng, order)
+            overspent = TruncatedSeries((0j, 1 + 0j, *(3.0 * c for c in f.coeffs[2:])))
+            signs = rng.choice((-1.0, 1.0), order - 1) * 0.8 ** np.arange(1, order)
+            cases += [
+                (f"certified member, order {order}", f, p),
+                (f"extremal f_{order}", extremal_function(order, p, order=order), p),
+                (f"overspent t-form, order {order}", overspent, p),
+                (f"mixed signs, order {order}", member(1.0, *signs, order=order), p),
+                (f"fat a2, order {order}", member(1.0, 0.9, order=order), p),
+            ]
+    cases.append(("zero at -0.52", member(1.0, 1 / 0.52, order=2), P_HALF))
+    cases.append(("extremal f_1024", extremal_function(1024, P_CLASSICAL, order=1024), P_CLASSICAL))
+    return [pytest.param(f, p, id=f"{label} at q={p.q} k={p.k} alpha={p.alpha}") for label, f, p in cases]
+
+
+REAL_SCAN_CASES = _real_scan_cases()
+
+
+class TestHalfScan:
+    """Real series are scanned on angles 0 .. pi; the full grid gives the same verdict."""
+
+    @pytest.mark.parametrize("f, p", REAL_SCAN_CASES)
+    def test_conjugate_columns(self, f, p):
+        numerator = (0j, *symmetric_q_derivative(f, p.q).coeffs)
+        values = evaluate_rows_on_grid([f.coeffs, numerator])
+        half = GRID_ANGLES // 2
+        mirrored = np.ascontiguousarray(values[:, :, :half:-1])
+        conjugates = np.ascontiguousarray(values[:, :, 1:half].conj())
+        assert np.array_equal(mirrored.view(np.uint64), conjugates.view(np.uint64))
+
+    @pytest.mark.parametrize("f, p", REAL_SCAN_CASES)
+    def test_half_scan_is_full_scan(self, f, p):
+        verdict = sampled_membership(f, p)
+        certified, margin, witness = reference.full_grid_scan(f, p)
+        assert (verdict.certified, verdict.witness) == (certified, witness)
+        # the angle-pi column is the one column the two products may round
+        # differently (a BLAS kernel's edge), so a margin read there may move an ulp
+        assert verdict.margin == margin or abs(verdict.margin - margin) <= 1e-14
+
+    def test_verdicts_cover_both_outcomes(self):
+        verdicts = {reference.full_grid_scan(*case.values)[0] for case in REAL_SCAN_CASES}
+        assert verdicts == {CERTIFIED_INCONCLUSIVE, CERTIFIED_NOT_MEMBER_WITNESS}
+
+    @given(st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False), min_size=1, max_size=63),
+           st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_zero_test_bound(self, tail, share):
+        # sum |a_n| <= 1 - 1e-9 gives |f(z)| >= |z| (1 - sum |a_n|) >= 4e-11 on the grid,
+        # which is why the scan may skip its |f| < 1e-12 test
+        total = math.fsum(map(abs, tail))
+        assume(total > 0.0)
+        tail = [c * (share * (1.0 - 1e-9) / total) for c in tail]
+        assume(sum(map(abs, tail)) <= 1.0 - 1e-9)
+        f = member(1.0, *tail, order=len(tail) + 1)
+        assert np.abs(evaluate_on_grid(f)).min() > 1e-12
+
+    def test_zero_test_bound_at_order_1024(self):
+        f = extremal_function(1024, P_CLASSICAL, order=1024)
+        assert sum(map(abs, f.coeffs[2:])) <= 1.0 - 1e-9
+        assert np.abs(evaluate_on_grid(f)).min() > 1e-12
+
+    def test_complex_input_scans_every_angle(self):
+        # z + 0.9 z^2 fails on angles 33..63 only; g(z) = e^(-i theta) f(e^(i theta) z) with
+        # theta = -pi/2 is z - 0.9i z^2, whose failing points all lie past pi
+        p = P_HALF
+        f, g = member(1.0, 0.9), member(1.0, -0.9j)
+        assert reference.full_grid_scan(f, p)[0] == CERTIFIED_NOT_MEMBER_WITNESS
+        numerator = (0j, *symmetric_q_derivative(g, p.q).coeffs)
+        g_vals, num_vals = evaluate_rows_on_grid([g.coeffs, numerator], GRID_ANGLES // 2 + 1)
+        assert (conic_margin(num_vals / g_vals, p.k, p.alpha) > 0.0).all()
+        certified, margin, witness = reference.full_grid_scan(g, p)
+        assert certified == CERTIFIED_NOT_MEMBER_WITNESS and witness.imag < 0.0
+        verdict = sampled_membership(g, p)
+        assert (verdict.certified, verdict.witness, verdict.margin) == (certified, witness, margin)
 
 
 class TestRandomMember:

@@ -210,12 +210,22 @@ class TestScanGrid:
         assert all(0.0 < a < b < 1.0 for a, b in zip(GRID_RADII, GRID_RADII[1:]))
 
     def test_mesh_matches_points(self):
-        # grid_point(i, j) has the bits of the whole-mesh product r_i e^(i t_j)
-        roots = np.exp(1j * (2.0 * np.pi * np.arange(GRID_ANGLES) / GRID_ANGLES))
+        # grid_point(i, j) has the bits of the whole-mesh product r_i e^(i t_j),
+        # with e^(i t_j) one exp up to t = pi (exactly -1 there) and the exact
+        # conjugate of e^(i t_(96 - j)) beyond
+        half = GRID_ANGLES // 2
+        roots = np.exp(1j * (2.0 * np.pi * np.arange(half + 1) / GRID_ANGLES))
+        roots[half] = -1.0
+        roots = np.concatenate((roots, roots[half - 1:0:-1].conj()))
         mesh = np.asarray(GRID_RADII)[:, None] * roots[None, :]
         points = np.array([[grid_point(i, j) for j in range(GRID_ANGLES)]
                            for i in range(len(GRID_RADII))])
         assert np.array_equal(points.view(np.uint64), mesh.view(np.uint64))
+        # column 96 - j is the conjugate of column j, bit for bit (j = 1 .. 47)
+        mirrored = np.ascontiguousarray(points[:, :half:-1])
+        conjugates = np.ascontiguousarray(points[:, 1:half].conj())
+        assert np.array_equal(mirrored.view(np.uint64), conjugates.view(np.uint64))
+        assert (points[:, half].imag == 0.0).all()
         for (i, j), z in np.ndenumerate(points):
             assert abs(z - GRID_RADII[i] * cmath.exp(2j * math.pi * j / GRID_ANGLES)) < 1e-15
 
