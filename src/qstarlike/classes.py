@@ -23,6 +23,7 @@ certify an open-disk inequality), so sampled checks return a witness or
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 from dataclasses import dataclass
@@ -242,34 +243,39 @@ def sampled_membership(f: TruncatedSeries, p: ClassParams) -> MembershipVerdict:
     grid points, so its margins at t and -t agree bit for bit and the
     angles 0 .. pi alone give the full grid's first witness and least
     margin.  The zero test is skipped when sum |a_n| <= 1 - 1e-9, since
-    then |f(z)| >= |z| (1 - sum |a_n|) >= 4e-11 on the grid.
+    then |f(z)| >= |z| (1 - sum |a_n|) >= 4e-11 on the grid.  A scan whose
+    values overflow a double raises OverflowError.
     """
     require_normalized(f, "membership sampling")
     # z D~_q f has order f.order, like f
     numerator = (0j, *symmetric_q_derivative(f, p.q).coeffs)
     angles = GRID_ANGLES if any(c.imag for c in f.coeffs) else GRID_ANGLES // 2 + 1
-    f_vals, num_vals = ser.evaluate_rows_on_grid([f.coeffs, numerator], angles)
-    # the plain sum errs by order * eps, far inside the 1e-9 slack, and
-    # returns inf where fsum would raise on an overflowing total
-    if not sum(map(abs, f.coeffs[2:])) <= 1.0 - 1e-9:
-        tiny = np.abs(f_vals) < 1e-12
-        if tiny.any():
-            i, j = map(int, np.argwhere(tiny)[0])
-            return MembershipVerdict(
-                CERTIFIED_NOT_MEMBER_WITNESS, margin=-math.inf, witness=grid_point(i, j)
-            )
-    w_vals = num_vals / f_vals
-    margins = conic_margin(w_vals, p.k, p.alpha)
+    # on the disk |f| and |z D~_q f| are at most sum |[n]~_q a_n|, as [n]~_q >= 1, and past
+    # the zero test |w| <= 1e12 |z D~_q f|: below 1e295 no value can overflow
+    try:
+        risky = not sum(map(abs, numerator)) <= 1e295
+    except OverflowError:  # an |[n]~_q a_n| past the largest double
+        risky = True
+    with np.errstate(all="ignore") if risky else contextlib.nullcontext():
+        f_vals, num_vals = ser.evaluate_rows_on_grid([f.coeffs, numerator], angles)
+        # the plain sum errs by order * eps, far inside the 1e-9 slack
+        if risky or not sum(map(abs, f.coeffs[2:])) <= 1.0 - 1e-9:
+            tiny = np.abs(f_vals) < 1e-12
+            if tiny.any():
+                i, j = map(int, np.argwhere(tiny)[0])
+                return MembershipVerdict(CERTIFIED_NOT_MEMBER_WITNESS, -math.inf, grid_point(i, j))
+        margins = conic_margin(num_vals / f_vals, p.k, p.alpha)
+    if risky and not (np.isfinite(f_vals).all() and np.isfinite(margins).all()):
+        raise OverflowError(
+            f"the sampled membership scan overflows a double at q={p.q}, k={p.k}, alpha={p.alpha}"
+        )
     least = margins.min()
     if not least > 0.0:  # a NaN margin takes this path too
         failing = margins <= 0.0
         if failing.any():
             i, j = map(int, np.argwhere(failing)[0])  # lexicographic (radius, angle)
-            return MembershipVerdict(
-                CERTIFIED_NOT_MEMBER_WITNESS,
-                margin=float(margins[i, j]),
-                witness=grid_point(i, j),
-            )
+            return MembershipVerdict(CERTIFIED_NOT_MEMBER_WITNESS, float(margins[i, j]),
+                                     grid_point(i, j))
     return MembershipVerdict(CERTIFIED_INCONCLUSIVE, margin=float(least))
 
 

@@ -25,7 +25,7 @@ Caratheodory triple for the whole inner disk (|B2|, |B3| <= 2); a
 violation aborts the oracle rather than producing a fictitious
 functional value.
 
-run_ledger() assembles one record per claim per parameter point,
+run_ledger() assembles one record per row of CLAIMS per parameter point,
 comparing each closed-form bound against its oracle maximum.  A negative
 slack beyond TOLERANCE is a first-class "violated" outcome — several
 printed shortcut values are retained precisely because they fail, and the
@@ -39,6 +39,8 @@ import io
 import json
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -439,10 +441,73 @@ def _sufficiency_oracle(p: ClassParams, rng) -> float:
     return max(0.0, float(-conic_margin(dq_one / f_one, p.k, p.alpha).min()))
 
 
-def _printed_a2_example(p: ClassParams) -> float:
-    """The printed quadratic-coefficient example, evaluated as printed."""
-    q = p.q
-    return (1.0 - p.alpha) * q / (q * q * (p.k + 1.0) + 1.0 - p.alpha)
+def _at_classical_limit(p: ClassParams) -> bool:
+    return (p.q, p.k, p.alpha) == (1.0, 1.0, 0.0)
+
+
+@dataclass(frozen=True)
+class Claim:
+    """A ledger row: bound(c) against oracle(c) at each point p where applies(p) holds.
+
+    c holds a point's shared values (see _point_records).  An OracleResult oracle gives the
+    record its argmax; fs labels the Fekete-Szego oracle row whose mu the record carries.
+    """
+
+    name: str
+    anchor: str
+    bound: Callable
+    oracle: Callable
+    fs: str | None = None
+    applies: Callable[[ClassParams], bool] = lambda p: True
+
+
+_FS_LABELS = ("0", "0.5", "1", "star")
+_RADIUS = 0.9  # of both distortion envelopes
+
+CLAIMS = (
+    Claim("second-hankel-bound",
+          "closed-form bound on |a2 a4 - a3^2| via the quadratic maximum over t = B1^2",
+          lambda c: h2_bound(c.P, c.p.q), lambda c: c.h2),
+    *(Claim(f"fekete-szego-mu-{label}", "closed-form bound on |a3 - mu a2^2|",
+            lambda c, label=label: fekete_szego_bound_complex(c.mu[label], c.P, c.p.q),
+            lambda c, label=label: c.fs[label], fs=label)
+      for label in _FS_LABELS),
+    Claim("printed-first-hankel-shortcut",
+          "printed shortcut for |a3 - a2^2|; can go negative, retained for documentation",
+          lambda c: c.printed.h21_printed, lambda c: c.fs["1"], fs="1"),
+    Claim("printed-third-coefficient-shortcut",
+          "printed shortcut for |a3|; differs from the mu=0 bound by a factor (q^2 - q + 1)",
+          lambda c: c.printed.a3_printed, lambda c: c.fs["0"], fs="0"),
+    Claim("printed-quadratic-coefficient-example",
+          "printed largest certified |a2| example vs the n=2 sufficient threshold",
+          lambda c: (1.0 - c.p.alpha) * c.p.q
+          / (c.p.q * c.p.q * (c.p.k + 1.0) + 1.0 - c.p.alpha),
+          lambda c: coefficient_threshold(2, c.p)),
+    Claim("printed-classical-h2-limit",
+          "printed classical-limit constant 16/pi^2 for the parabolic regime",
+          lambda c: c.printed.h2_limit_printed, lambda c: c.h2, applies=_at_classical_limit),
+    Claim("endpoint-classical-h2-limit",
+          "t=0 endpoint value P1^2/q3^2 of the quadratic in the same limit",
+          lambda c: c.P.P1**2 / symmetric_gaps(c.p.q)[1] ** 2, lambda c: c.h2,
+          applies=_at_classical_limit),
+    Claim("t-class-budget-sharpness",
+          "coefficient budget 1 - alpha is exactly attained by the n=2 extremal",
+          lambda c: 1.0 - c.p.alpha,
+          lambda c: budget_rows([list(map(abs, extremal_function(2, c.p).coeffs[2:]))], c.p)[0]),
+    Claim("growth-envelope-upper",
+          f"growth envelope r + c r^2 at r = {_RADIUS} over the extreme points",
+          lambda c: distortion_bounds(_RADIUS, c.p)[1], lambda c: c.distortion[0]),
+    Claim("derivative-envelope-upper",
+          f"derivative envelope 1 + 2 c r at r = {_RADIUS} over the extreme points",
+          lambda c: derivative_distortion_bounds(_RADIUS, c.p)[1], lambda c: c.distortion[1]),
+    Claim("extreme-point-roundtrip",
+          "convex decomposition over the extremal functions round-trips (error vs 0)",
+          lambda c: 0.0, lambda c: _roundtrip_oracle(c.p, np.random.default_rng(c.seeds[0]))),
+    Claim("sufficient-condition-sampled",
+          "certified members keep a nonnegative conic margin as z -> 1, where it is least "
+          "(violation vs 0)",
+          lambda c: 0.0, lambda c: _sufficiency_oracle(c.p, np.random.default_rng(c.seeds[1]))),
+)
 
 
 def run_ledger(
@@ -474,13 +539,12 @@ def run_ledger(
         ],
         "rng_seed": rng_seed,
     }
-    records: list[LedgerRecord] = []
-    for index, p in enumerate(points):
-        records.extend(_point_records(p, user_conic, rng_seed, index))
-    return VerificationReport(header=header, records=tuple(records))
+    records = tuple(r for index, p in enumerate(points)
+                    for r in _point_records(p, user_conic, rng_seed, index))
+    return VerificationReport(header=header, records=records)
 
 
-def _point_records(p, user_conic, rng_seed, index) -> list[LedgerRecord]:
+def _point_records(p, user_conic, rng_seed, index) -> Iterator[LedgerRecord]:
     try:
         # user coefficients apply only where no built-in map exists, always as provenance user
         if user_conic is not None and p.k not in (0.0, 1.0):
@@ -488,108 +552,34 @@ def _point_records(p, user_conic, rng_seed, index) -> list[LedgerRecord]:
         else:
             P = conic_coefficients(p.k, p.alpha)
     except UnsupportedConicRegimeError:
-        return [LedgerRecord(
+        yield LedgerRecord(
             claim="conic-coefficients",
             anchor="disk-map coefficients unavailable for this aperture",
             q=p.q, k=p.k, alpha=p.alpha, P1=None, P2=None, P3=None, provenance=None,
             bound=None, oracle=None, slack=None, status=STATUS_MISSING,
-        )]
+        )
+        return
 
-    def record(claim, anchor, bound, oracle, mu=None):
-        """One claim at p; the oracle is a number, or an OracleResult whose argmax is kept."""
-        argmax = None
+    mu = dict(zip(_FS_LABELS, (0.0, 0.5, 1.0, fekete_szego_breakpoint(p.q))))
+    c = SimpleNamespace(
+        p=p, P=P, mu=mu, h2=oracle_h2_max(P, p.q),
+        fs=dict(zip(mu, oracle_fs_rows(tuple(mu.values()), P, p.q))),
+        printed=printed_corollary_values(P, p.q),
+        distortion=_distortion_oracles(p, _RADIUS),
+        seeds=np.random.SeedSequence([rng_seed, index]).spawn(2),  # one per sampled oracle
+    )
+    for claim in CLAIMS:
+        if not claim.applies(p):
+            continue
+        bound, oracle, argmax = claim.bound(c), claim.oracle(c), None
         if isinstance(oracle, OracleResult):
             oracle, argmax = oracle.value, oracle.argmax_json()
         slack = bound - oracle
         # the ledger's one status rule; P.is_reconstructed is False only for the k = 0 map
         status = (STATUS_VIOLATED if slack < -TOLERANCE else
                   STATUS_RECONSTRUCTED if P.is_reconstructed else STATUS_VERIFIED)
-        return LedgerRecord(
-            claim=claim, anchor=anchor, q=p.q, k=p.k, alpha=p.alpha,
-            P1=P.P1, P2=P.P2, P3=P.P3, provenance=P.provenance,
-            bound=bound, oracle=oracle, slack=slack, status=status, argmax=argmax, mu=mu,
+        yield LedgerRecord(
+            claim=claim.name, anchor=claim.anchor, q=p.q, k=p.k, alpha=p.alpha,
+            P1=P.P1, P2=P.P2, P3=P.P3, provenance=P.provenance, bound=bound, oracle=oracle,
+            slack=slack, status=status, argmax=argmax, mu=mu.get(claim.fs),
         )
-
-    out: list[LedgerRecord] = []
-
-    h2_oracle = oracle_h2_max(P, p.q)
-    out.append(record(
-        "second-hankel-bound",
-        "closed-form bound on |a2 a4 - a3^2| via the quadratic maximum over t = B1^2",
-        h2_bound(P, p.q), h2_oracle,
-    ))
-
-    fs_mus = {"0": 0.0, "0.5": 0.5, "1": 1.0, "star": fekete_szego_breakpoint(p.q)}
-    fs_results = dict(zip(fs_mus, oracle_fs_rows(tuple(fs_mus.values()), P, p.q)))
-    for label, mu in fs_mus.items():
-        out.append(record(
-            f"fekete-szego-mu-{label}",
-            "closed-form bound on |a3 - mu a2^2|",
-            fekete_szego_bound_complex(mu, P, p.q), fs_results[label], mu=mu,
-        ))
-
-    printed = printed_corollary_values(P, p.q)
-    out.append(record(
-        "printed-first-hankel-shortcut",
-        "printed shortcut for |a3 - a2^2|; can go negative, retained for documentation",
-        printed.h21_printed, fs_results["1"], mu=1.0,
-    ))
-    out.append(record(
-        "printed-third-coefficient-shortcut",
-        "printed shortcut for |a3|; differs from the mu=0 bound by a factor (q^2 - q + 1)",
-        printed.a3_printed, fs_results["0"], mu=0.0,
-    ))
-    out.append(record(
-        "printed-quadratic-coefficient-example",
-        "printed largest certified |a2| example vs the n=2 sufficient threshold",
-        _printed_a2_example(p), coefficient_threshold(2, p),
-    ))
-
-    if p.q == 1.0 and p.k == 1.0 and p.alpha == 0.0:
-        q3 = symmetric_gaps(p.q)[1]
-        out.append(record(
-            "printed-classical-h2-limit",
-            "printed classical-limit constant 16/pi^2 for the parabolic regime",
-            printed.h2_limit_printed, h2_oracle,
-        ))
-        out.append(record(
-            "endpoint-classical-h2-limit",
-            "t=0 endpoint value P1^2/q3^2 of the quadratic in the same limit",
-            P.P1**2 / q3**2, h2_oracle,
-        ))
-
-    f2 = extremal_function(2, p)
-    attained = budget_rows([list(map(abs, f2.coeffs[2:]))], p)[0]
-    out.append(record(
-        "t-class-budget-sharpness",
-        "coefficient budget 1 - alpha is exactly attained by the n=2 extremal",
-        1.0 - p.alpha, attained,
-    ))
-
-    radius = 0.9
-    f_max, df_max = _distortion_oracles(p, radius)
-    out.append(record(
-        "growth-envelope-upper",
-        f"growth envelope r + c r^2 at r = {radius} over the extreme points",
-        distortion_bounds(radius, p)[1], f_max,
-    ))
-    out.append(record(
-        "derivative-envelope-upper",
-        f"derivative envelope 1 + 2 c r at r = {radius} over the extreme points",
-        derivative_distortion_bounds(radius, p)[1], df_max,
-    ))
-
-    # one seed stream per sampled oracle, so neither moves the other's draws
-    roundtrip_seed, sufficiency_seed = np.random.SeedSequence([rng_seed, index]).spawn(2)
-    out.append(record(
-        "extreme-point-roundtrip",
-        "convex decomposition over the extremal functions round-trips (error vs 0)",
-        0.0, _roundtrip_oracle(p, np.random.default_rng(roundtrip_seed)),
-    ))
-    out.append(record(
-        "sufficient-condition-sampled",
-        "certified members keep a nonnegative conic margin as z -> 1, where it is least "
-        "(violation vs 0)",
-        0.0, _sufficiency_oracle(p, np.random.default_rng(sufficiency_seed)),
-    ))
-    return out

@@ -426,6 +426,32 @@ class TestHugeCoefficients:
             sufficient_condition_margin(f, ClassParams(1.0, 0.0, 0.0))
 
 
+class TestSampledScanOverflow:
+    """A grid scan whose values overflow ends in one worded OverflowError, not a NaN margin."""
+
+    def test_overflowing_grid_values_are_refused(self):
+        # every coefficient is finite; |f| and |z D~_q f| on the grid are not
+        f = member(1.0, 0.85e308, 0.55e308, 0.4e308, 0.3e308, order=5)
+        with np.errstate(all="raise"):
+            with pytest.raises(OverflowError,
+                               match=r"sampled membership .* q=1\.0, k=0\.0, alpha=0\.0"):
+                sampled_membership(f, ClassParams(1.0, 0.0, 0.0))
+
+    def test_complex_magnitude_overflow_is_refused(self):
+        # |[2]~_q a_2| is past the largest double, though both its parts are finite
+        with pytest.raises(OverflowError, match=r"sampled membership .* q=1\.0"):
+            sampled_membership(member(1.0, 0.8e308 + 0.8e308j), ClassParams(1.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("a2", [1e296, 1e300, 1e306])
+    @pytest.mark.parametrize("p", [ClassParams(1.0, 0.0, 0.0), ClassParams(0.5, 1.0, 0.0)])
+    def test_finite_scans_above_the_guard_keep_their_verdict(self, a2, p):
+        # coefficient sums above 1e295 take the checked path; finite values pass it unchanged
+        f = member(1.0, a2)
+        with np.errstate(all="raise"):
+            verdict = sampled_membership(f, p)
+        assert (verdict.certified, verdict.margin, verdict.witness) == reference.full_grid_scan(f, p)
+
+
 class TestBudgetRows:
     """budget_rows is the one coefficient budget sum; each caller reads it."""
 

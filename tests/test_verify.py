@@ -1,7 +1,9 @@
 import csv
+import importlib.util
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -517,6 +519,49 @@ class TestLedger:
                 assert r.status == STATUS_VIOLATED
             elif r.slack is not None:
                 assert r.status in (STATUS_VERIFIED, STATUS_RECONSTRUCTED)
+
+
+def _benchmark_checks():
+    """perfbench/checks.py, loaded by path; it imports only math and numpy."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestClaimTable:
+    """verify.CLAIMS is the one list of claim names: the benchmark and the pins must follow it."""
+
+    # the table's rows that apply everywhere, then those that apply only at (1, 1, 0)
+    GROUPED = ([c.name for c in verify.CLAIMS if c.applies(ClassParams(0.5, 0.0, 0.0))]
+               + [c.name for c in verify.CLAIMS if not c.applies(ClassParams(0.5, 0.0, 0.0))])
+
+    def test_names_match_the_benchmark_checks(self):
+        checks = _benchmark_checks()
+        assert self.GROUPED == [*checks.RECORD_CLAIMS, *checks.CLASSICAL_LIMIT_CLAIMS]
+
+    def test_names_match_the_pinned_statuses(self):
+        from test_acceptance import PINNED_STATUS_CODES
+        assert self.GROUPED == list(PINNED_STATUS_CODES)
+
+    def test_records_follow_the_table(self):
+        # every default point, and a point that reads user coefficients
+        points = [*default_parameter_points(), ClassParams(0.8, 2.0, 0.1)]
+        report = run_ledger(points, user_conic=ConicCoefficients(1.0, 0.5, 0.25))
+        for p in points:
+            got = [r.claim for r in report.records if (r.q, r.k, r.alpha) == (p.q, p.k, p.alpha)]
+            assert got == [c.name for c in verify.CLAIMS if c.applies(p)], p
+        at_limit = [r.claim for r in report.records if (r.q, r.k, r.alpha) == (1.0, 1.0, 0.0)]
+        assert at_limit == [c.name for c in verify.CLAIMS]
+
+    def test_records_carry_the_mu_of_their_fs_row(self):
+        report = run_ledger([ClassParams(1.0, 1.0, 0.0)])  # every row applies here
+        mu = {"0": 0.0, "0.5": 0.5, "1": 1.0, "star": fekete_szego_breakpoint(1.0)}
+        assert len(report.records) == len(verify.CLAIMS)
+        for claim, record in zip(verify.CLAIMS, report.records):
+            assert record.claim == claim.name
+            assert record.mu == (None if claim.fs is None else mu[claim.fs])
 
 
 class TestDistortionOracle:
