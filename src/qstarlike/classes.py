@@ -81,13 +81,30 @@ class MembershipVerdict:
 
 @dataclass(frozen=True)
 class DecompositionWeights:
-    """Convex weights (lambda_1, lambda_2, ...) over the extreme points."""
+    """Convex weights (lambda_1, lambda_2, ...) over the extreme points.
+
+    The one-row case of convex_weight_rows, checked in Python floats: for
+    one row, numpy's set-up costs more than the checks themselves.
+    """
 
     lambdas: tuple[float, ...]
 
     def __post_init__(self):
-        lams = np.array([tuple(map(float, self.lambdas))])
-        object.__setattr__(self, "lambdas", tuple(convex_weight_rows(lams)[0].tolist()))
+        lams = tuple(map(float, self.lambdas))
+        if not lams:
+            raise ValueError("weight vector is empty")
+        if any(x < -1e-12 for x in lams):
+            raise ValueError("weights must be nonnegative")
+        _refuse_off_sums([lams])
+        object.__setattr__(self, "lambdas", tuple(0.0 if x < 0.0 else x for x in lams))
+
+
+def _refuse_off_sums(rows) -> None:
+    """Refuse the first row of Python floats whose correctly rounded sum is not 1 within 1e-12."""
+    # Written so that a NaN weight, which no comparison catches, fails here.
+    off = [total for total in map(math.fsum, rows) if not abs(total - 1.0) <= 1e-12]
+    if off:
+        raise ValueError(f"weights must sum to 1, got {off[0]!r}")
 
 
 def convex_weight_rows(lams: np.ndarray) -> np.ndarray:
@@ -95,16 +112,22 @@ def convex_weight_rows(lams: np.ndarray) -> np.ndarray:
 
     As DecompositionWeights (the one-row case) checks: each row must be
     nonempty, nonnegative up to 1e-12 and sum to 1 within 1e-12, the sum
-    correctly rounded; weights slightly below 0 are clamped to 0.
+    correctly rounded; weights slightly below 0 are clamped to 0.  A row
+    whose float sum lies within 1e-12 - b of 1, b = n 2^-51 (1 + (2n + 1)
+    1e-12) for n weights, passes without math.fsum: b bounds the float
+    sum's error and the last rounding (notes/decisions.md, "Sums that only
+    decide a sign").  Every other row, NaN and inf ones too, is summed by
+    math.fsum, so each acceptance and refusal is the correctly rounded rule's.
     """
-    if lams.shape[1] == 0:
+    n = lams.shape[1]
+    if n == 0:
         raise ValueError("weight vector is empty")
     if (lams < -1e-12).any():
         raise ValueError("weights must be nonnegative")
-    # Written so that a NaN weight, which no comparison catches, fails here.
-    off = [total for total in map(math.fsum, lams.tolist()) if not abs(total - 1.0) <= 1e-12]
-    if off:
-        raise ValueError(f"weights must sum to 1, got {off[0]!r}")
+    slack = 1e-12 - n * 2.0**-51 * (1.0 + (2 * n + 1) * 1e-12)
+    with np.errstate(over="ignore"):
+        undecided = ~(np.abs(lams.sum(axis=1) - 1.0) <= slack)
+    _refuse_off_sums(lams[undecided].tolist())
     return np.where(lams < 0.0, 0.0, lams)
 
 
@@ -398,12 +421,14 @@ def random_certified_rows(
     """(count, order - 1) magnitudes (a2, ..., a_order) of random certified members.
 
     Each row draws order - 1 raw magnitudes and then a fraction of the
-    budget 1 - alpha, and is rescaled so that sum(phi_n a_n), as
-    budget_rows rounds it, equals that share.  One rng.random((count,
+    budget 1 - alpha, and is rescaled so that sum(phi_n a_n), correctly
+    rounded as budget_rows takes it, equals that share.  One rng.random((count,
     order)) block gives the same doubles as count draws of random(order - 1)
     and random(), so each row is bitwise what it is when drawn alone.
     """
     draw = rng.random((count, order))
     raw = draw[:, :-1]
     budget = draw[:, -1] * (1.0 - p.alpha)
-    return raw * (budget / np.array(budget_rows(raw.tolist(), p)))[:, None]
+    # raw < 1 and phi_table is finite, so no product overflows; numpy's are Python's
+    totals = _budget_sums((phi_table(p, order) * raw).tolist(), p)
+    return raw * (budget / np.array(totals))[:, None]

@@ -40,7 +40,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -303,8 +303,9 @@ def oracle_fs_rows(mus, P: ConicCoefficients, q: float) -> tuple[OracleResult, .
 # --- ledger -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LedgerRecord:
+class LedgerRecord(NamedTuple):
+    """One ledger row; a named tuple builds in a third of a frozen dataclass's time."""
+
     claim: str
     anchor: str
     q: float
@@ -411,14 +412,41 @@ def _roundtrip_oracle(p: ClassParams, rng) -> float:
 
     All ROUNDTRIP_WEIGHT_ROWS rows go through the row kernels behind
     extreme_point_compose and extreme_point_decompose in one pass, with
-    every check of the public functions.
+    every check of the public functions.  They are composed at order 12,
+    their own: at DEFAULT_ORDER the 20 further columns are exact zeros,
+    which change no sum, check or error, and the ledger has already built
+    the order-DEFAULT_ORDER phi_table at each point (notes/decisions.md).
     """
     raw = rng.random((ROUNDTRIP_WEIGHT_ROWS, 12))
     lams = convex_weight_rows(raw / raw.sum(axis=1, keepdims=True))
-    taylor = compose_rows(lams, p, DEFAULT_ORDER)
+    taylor = compose_rows(lams, p, lams.shape[1])
     back = convex_weight_rows(decompose_rows(t_form_rows(taylor[:, 1:]), p))
-    back[:, : lams.shape[1]] -= lams
-    return float(np.abs(back).max(initial=0.0))
+    return float(np.abs(back - lams).max(initial=0.0))
+
+
+def _cleared_at_one(a: np.ndarray, brackets: np.ndarray, p: ClassParams) -> bool:
+    """True when float sums prove that _sufficiency_oracle's exact sums give 0.
+
+    a holds the members' magnitudes a_n >= 0 and brackets their [n]~_q >= 1,
+    so sum a_n <= sum [n]~_q a_n.  With A and Q those sums in floats, over
+    N = a.shape[1] terms, f(1) = 1 - A and D~_q f(1) = 1 - Q lie within
+    e = N 2^-52 (1 + Q) of the exact ones, and w = (1 - Q)/(1 - A) within
+    e_w of the exact ratio once f(1) > 2e.  A margin that clears (1 + k)(e_w + 24 u (|w| + e_w + 1))
+    + 24 u alpha, u = 2^-53, outlasts the rounding of the exact code's ratio
+    and of both margin evaluations (notes/decisions.md, "Sums that only
+    decide a sign").  NaN and inf sums clear nothing.
+    """
+    u = 2.0**-53
+    with np.errstate(all="ignore"):
+        weighted = (brackets * a).sum(axis=1)
+        f_one = 1.0 - a.sum(axis=1)
+        e = a.shape[1] * 2.0**-52 * (1.0 + weighted)
+        w = (1.0 - weighted) / f_one
+        w_abs = np.abs(w)
+        e_w = 2.0 * e * (1.0 + w_abs) / f_one + 2.0 * u * w_abs
+        clearance = (1.0 + p.k) * (e_w + 24.0 * u * (w_abs + e_w + 1.0)) + 24.0 * u * p.alpha
+        margin = conic_margin(w, p.k, p.alpha)
+    return bool((f_one > 2.0 * e).all() and (margin >= clearance).all())
 
 
 def _sufficiency_oracle(p: ClassParams, rng) -> float:
@@ -430,10 +458,15 @@ def _sufficiency_oracle(p: ClassParams, rng) -> float:
     off the coefficient sums.  f(1) <= 0 would put a zero of f/z on the
     closed disk; that counts as an unbounded violation.  The members are
     one random_certified_rows block; each row's sums are the correctly
-    rounded ones symmetric_q_derivative's coefficients would give.
+    rounded ones symmetric_q_derivative's coefficients would give.  Those
+    only decide a sign when every margin is positive, so the oracle first
+    tries to prove that from float sums (_cleared_at_one) and runs math.fsum
+    only when it cannot.
     """
     a = random_certified_rows(p, rng, SUFFICIENCY_MEMBERS, DEFAULT_ORDER)
     brackets = np.array(bracket_table(p.q, a.shape[1] + 1, True)[1:])
+    if _cleared_at_one(a, brackets, p):
+        return 0.0
     f_one = np.array([math.fsum([1.0, *row]) for row in (-a).tolist()])
     if not (f_one > 0.0).all():
         return math.inf
@@ -493,7 +526,8 @@ CLAIMS = (
     Claim("t-class-budget-sharpness",
           "coefficient budget 1 - alpha is exactly attained by the n=2 extremal",
           lambda c: 1.0 - c.p.alpha,
-          lambda c: budget_rows([list(map(abs, extremal_function(2, c.p).coeffs[2:]))], c.p)[0]),
+          # at order 2, its own: the higher coefficients are zeros, which add nothing to the sum
+          lambda c: budget_rows([list(map(abs, extremal_function(2, c.p, 2).coeffs[2:]))], c.p)[0]),
     Claim("growth-envelope-upper",
           f"growth envelope r + c r^2 at r = {_RADIUS} over the extreme points",
           lambda c: distortion_bounds(_RADIUS, c.p)[1], lambda c: c.distortion[0]),

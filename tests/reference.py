@@ -5,20 +5,29 @@ Horner evaluation), the coefficients (a2, a3, a4) of the member that one
 Schwarz triple generates, and the sampled membership scan over the whole
 grid.  The program needs none of these; the operator identities, envelope
 checks and oracle cross-checks in the tests do.
+
+Last, the correctly rounded definitions of the weight check and of the two
+seeded ledger oracles: convex_weight_rows, random_certified_rows,
+_roundtrip_oracle and _sufficiency_oracle as they read before their sums
+were first decided in floats.  The program must give their results bit for
+bit; CI also builds the default ledger through them and compares bytes.
 """
 
 import math
 
 import numpy as np
 
+from qstarlike.classes import budget_rows, compose_rows, decompose_rows, t_form_rows
+from qstarlike.conic import conic_margin
 from qstarlike.hankel import (
     COEFF_BOUND_TOL,
     caratheodory_b2_b3,
     schwarz_to_coefficients,
     symmetric_gaps,
 )
-from qstarlike.qcalc import symmetric_q_derivative
-from qstarlike.series import TruncatedSeries, evaluate_rows_on_grid, grid_point
+from qstarlike.qcalc import bracket_table, symmetric_q_derivative
+from qstarlike.series import DEFAULT_ORDER, TruncatedSeries, evaluate_rows_on_grid, grid_point
+from qstarlike.verify import ROUNDTRIP_WEIGHT_ROWS, SUFFICIENCY_MEMBERS
 
 
 def _fsum_complex(values) -> complex:
@@ -89,3 +98,73 @@ def full_grid_scan(f: TruncatedSeries, p) -> tuple[str, float, complex | None]:
         i, j = map(int, failing[0])
         return "not-member-witness", float(margins[i, j]), grid_point(i, j)
     return "inconclusive", float(margins.min()), None
+
+
+def convex_weight_rows(lams: np.ndarray) -> np.ndarray:
+    """Validated copy of an (R, N) array whose rows are convex weight vectors.
+
+    As DecompositionWeights (the one-row case) checks: each row must be
+    nonempty, nonnegative up to 1e-12 and sum to 1 within 1e-12, the sum
+    correctly rounded; weights slightly below 0 are clamped to 0.
+    """
+    if lams.shape[1] == 0:
+        raise ValueError("weight vector is empty")
+    if (lams < -1e-12).any():
+        raise ValueError("weights must be nonnegative")
+    # Written so that a NaN weight, which no comparison catches, fails here.
+    off = [total for total in map(math.fsum, lams.tolist()) if not abs(total - 1.0) <= 1e-12]
+    if off:
+        raise ValueError(f"weights must sum to 1, got {off[0]!r}")
+    return np.where(lams < 0.0, 0.0, lams)
+
+
+def random_certified_rows(
+    p, rng: np.random.Generator, count: int, order: int
+) -> np.ndarray:
+    """(count, order - 1) magnitudes (a2, ..., a_order) of random certified members.
+
+    Each row draws order - 1 raw magnitudes and then a fraction of the
+    budget 1 - alpha, and is rescaled so that sum(phi_n a_n), as
+    budget_rows rounds it, equals that share.  One rng.random((count,
+    order)) block gives the same doubles as count draws of random(order - 1)
+    and random(), so each row is bitwise what it is when drawn alone.
+    """
+    draw = rng.random((count, order))
+    raw = draw[:, :-1]
+    budget = draw[:, -1] * (1.0 - p.alpha)
+    return raw * (budget / np.array(budget_rows(raw.tolist(), p)))[:, None]
+
+
+def _roundtrip_oracle(p, rng) -> float:
+    """Largest weight error of compose -> decompose over random 12-term convex combinations.
+
+    All ROUNDTRIP_WEIGHT_ROWS rows go through the row kernels behind
+    extreme_point_compose and extreme_point_decompose in one pass, with
+    every check of the public functions.
+    """
+    raw = rng.random((ROUNDTRIP_WEIGHT_ROWS, 12))
+    lams = convex_weight_rows(raw / raw.sum(axis=1, keepdims=True))
+    taylor = compose_rows(lams, p, DEFAULT_ORDER)
+    back = convex_weight_rows(decompose_rows(t_form_rows(taylor[:, 1:]), p))
+    back[:, : lams.shape[1]] -= lams
+    return float(np.abs(back).max(initial=0.0))
+
+
+def _sufficiency_oracle(p, rng) -> float:
+    """Largest conic-domain violation over random certified members (0 if none).
+
+    Each member f = z - sum(a_n z^n), a_n >= 0, has its least margin over
+    the open disk in the limit z -> 1 (notes/decisions.md), where
+    w(1) = D~_q f(1) / f(1) = (1 - sum [n]~_q a_n) / (1 - sum a_n) is read
+    off the coefficient sums.  f(1) <= 0 would put a zero of f/z on the
+    closed disk; that counts as an unbounded violation.  The members are
+    one random_certified_rows block; each row's sums are the correctly
+    rounded ones symmetric_q_derivative's coefficients would give.
+    """
+    a = random_certified_rows(p, rng, SUFFICIENCY_MEMBERS, DEFAULT_ORDER)
+    brackets = np.array(bracket_table(p.q, a.shape[1] + 1, True)[1:])
+    f_one = np.array([math.fsum([1.0, *row]) for row in (-a).tolist()])
+    if not (f_one > 0.0).all():
+        return math.inf
+    dq_one = np.array([math.fsum([1.0, *row]) for row in (-(brackets * a)).tolist()])
+    return max(0.0, float(-conic_margin(dq_one / f_one, p.k, p.alpha).min()))

@@ -728,9 +728,11 @@ class TestOneArrayPassPerPoint:
     """The batched ledger oracles give the bits of their one-item forms."""
 
     def test_member_margins_are_the_scalar_ones(self, monkeypatch):
-        # w(1) of every member, the one array the oracle scores, against
-        # fsum over the coefficients of f and of symmetric_q_derivative(f)
+        # w(1) of every member, the one array the oracle's exact sums score,
+        # against fsum over the coefficients of f and of symmetric_q_derivative(f);
+        # the float decision that usually settles the oracle first is switched off
         seen = []
+        monkeypatch.setattr(verify, "_cleared_at_one", lambda *args: False)
         monkeypatch.setattr(verify, "conic_margin",
                             lambda w, k, alpha: seen.append(w) or conic_margin(w, k, alpha))
         for index, p in enumerate(default_parameter_points()):
