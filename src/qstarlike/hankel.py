@@ -105,17 +105,12 @@ class SchwarzTriple:
 
 
 def caratheodory_b2_b3(b1, x, zeta):
-    """Elementwise (B2, B3) from the unit-disk parametrization; b1 real.
-
-    A float zeta of 0 skips B3's zeta term, which is then a zero: adding it
-    could change only the sign of a zero B3.
-    """
+    """Elementwise (B2, B3) from the unit-disk parametrization; b1 real."""
     gap = 4.0 - b1 * b1
     b2 = (b1 * b1 + x * gap) / 2.0
-    b3 = b1**3 + 2.0 * gap * b1 * x - b1 * gap * x * x
-    if not (type(zeta) is float and zeta == 0.0):
-        b3 = b3 + 2.0 * gap * (1.0 - abs(x) ** 2) * zeta
-    return b2, b3 / 4.0
+    b3 = (b1**3 + 2.0 * gap * b1 * x - b1 * gap * x * x
+          + 2.0 * gap * (1.0 - abs(x) ** 2) * zeta) / 4.0
+    return b2, b3
 
 
 @functools.lru_cache(maxsize=256)

@@ -8,6 +8,7 @@ tests/reference.py, and each fallback is driven at least once.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import reference
 from qstarlike import classes, verify
-from qstarlike.classes import convex_weight_rows, threshold_denominator
+from qstarlike.classes import budget_rows, convex_weight_rows, extremal_function, threshold_denominator
 from qstarlike.conic import ClassParams, ConicCoefficients
 from qstarlike.verify import default_parameter_points, run_ledger
 
@@ -169,3 +170,18 @@ class TestSameBitsAsReference:
         got = run_ledger(points, user_conic=P, rng_seed=7).json_text()
         _with_reference_oracles(monkeypatch)
         assert got == run_ledger(points, user_conic=P, rng_seed=7).json_text()
+
+
+class TestBudgetClaimAtItsOwnOrder:
+    """t-class-budget-sharpness reads f_2 at order 2; at DEFAULT_ORDER the further terms are zeros."""
+
+    def test_same_bits_as_default_order(self):
+        claim = next(c for c in verify.CLAIMS if c.name == "t-class-budget-sharpness")
+        rng = np.random.default_rng(30)
+        points = [*default_parameter_points()] + [
+            ClassParams(q, k, alpha) for q, k, alpha in
+            zip(rng.uniform(0.05, 1.0, 50), rng.uniform(0.0, 3.0, 50), rng.uniform(0.0, 0.95, 50))]
+        for p in points:
+            full = extremal_function(2, p).coeffs[2:]
+            want = budget_rows([list(map(abs, full))], p)[0]
+            assert repr(claim.oracle(SimpleNamespace(p=p))) == repr(want), p
