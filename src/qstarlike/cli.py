@@ -129,15 +129,7 @@ _finite = _number_flag(float, math.isfinite, "be finite")
 _k_flag = _number_flag(float, lambda k: math.isfinite(k) and k >= 0.0, "be finite and nonnegative")
 _unit_flag = _number_flag(float, lambda x: 0.0 <= x < 1.0, "lie in [0, 1)")
 _order_flag = _number_flag(int, lambda n: 1 <= n <= ser.MAX_ORDER, f"lie in [1, {ser.MAX_ORDER}]")
-_q_range = _number_flag(float, lambda q: 0.0 < q <= 1.0, "lie in (0, 1]")
-
-
-def _q_flag(text: str) -> float:
-    q = _q_range(text)
-    if q < qcalc.Q_CONDITIONING_FLOOR:
-        print(f"warning: q={q} is below {qcalc.Q_CONDITIONING_FLOOR}; symmetric q-numbers "
-              "grow like q**-(n-1) and may overflow at moderate n", file=sys.stderr)
-    return q
+_q_flag = _number_flag(float, lambda q: 0.0 < q <= 1.0, "lie in (0, 1]")
 
 
 def _read_json(path: str, flag: str, parse):

@@ -115,12 +115,8 @@ def caratheodory_b2_b3(b1, x, zeta):
 
 @functools.lru_cache(maxsize=256)
 def symmetric_gaps(q: float) -> tuple[float, float, float]:
-    """(q2, q3, q4) with q_j = [j]~_q - 1; all positive for q in (0, 1].  Cached per q."""
-    q = validate_q(q)
-    gaps = tuple(b - 1.0 for b in bracket_table(q, 4, True)[1:])
-    if any(g <= 0.0 for g in gaps):
-        raise ValueError(f"degenerate symmetric gaps {gaps} at q={q}")
-    return gaps
+    """(q2, q3, q4) with q_j = [j]~_q - 1; at least (1, 2, 3) on (0, 1].  Cached per q."""
+    return tuple(b - 1.0 for b in bracket_table(validate_q(q), 4, True)[1:])
 
 
 def schwarz_to_coefficients(P1, P2, P3, q2, q3, q4, b1, b2, b3):

@@ -42,10 +42,6 @@ from functools import lru_cache
 
 from .series import NormalizationError, TruncatedSeries
 
-# Below this the symmetric q-numbers grow like q**-(n-1) and overflow or
-# swamp everything else at moderate n; computation proceeds, the CLI warns.
-Q_CONDITIONING_FLOOR = 1e-3
-
 # The power sum takes n terms in a Python loop, and near q = 1 nothing
 # overflows to end it, so larger n are refused before summing; the cap
 # itself sums in about 0.2 s.  phi_table needs n up to 1025.

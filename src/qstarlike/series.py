@@ -5,9 +5,10 @@ z^0 .. z^N; N is the truncation order.  Normalized analytic functions
 f(z) = z + a2 z^2 + ... are the special case c0 = 0, c1 = 1.  All values
 are immutable and every operation is a pure function.
 
-The operations are the quotient of two series, evaluation on the
-membership-scan grid and the function-file format; nothing here
-attempts analytic continuation or arbitrary precision.
+The operations the product uses are evaluation on the membership-scan
+grid and the function-file format.  The quotient of two series, divide,
+stays only because the benchmark's tracer (perfbench/tracer.py) names
+it.  Nothing here attempts analytic continuation or arbitrary precision.
 """
 
 from __future__ import annotations

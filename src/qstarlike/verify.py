@@ -455,21 +455,19 @@ def _sufficiency_oracle(p: ClassParams, rng) -> float:
     Each member f = z - sum(a_n z^n), a_n >= 0, has its least margin over
     the open disk in the limit z -> 1 (notes/decisions.md), where
     w(1) = D~_q f(1) / f(1) = (1 - sum [n]~_q a_n) / (1 - sum a_n) is read
-    off the coefficient sums.  f(1) <= 0 would put a zero of f/z on the
-    closed disk; that counts as an unbounded violation.  The members are
-    one random_certified_rows block; each row's sums are the correctly
-    rounded ones symmetric_q_derivative's coefficients would give.  Those
-    only decide a sign when every margin is positive, so the oracle first
-    tries to prove that from float sums (_cleared_at_one) and runs math.fsum
-    only when it cannot.
+    off the coefficient sums.  The members are one random_certified_rows
+    block, so sum a_n <= (1 - alpha)/(k + 2 - alpha) <= 1/2 and f(1) >= 1/2
+    (notes/decisions.md, "Guards the mathematics proves are tests").  Each
+    row's sums are the correctly rounded ones symmetric_q_derivative's
+    coefficients would give.  Those only decide a sign when every margin is
+    positive, so the oracle first tries to prove that from float sums
+    (_cleared_at_one) and runs math.fsum only when it cannot.
     """
     a = random_certified_rows(p, rng, SUFFICIENCY_MEMBERS, DEFAULT_ORDER)
     brackets = np.array(bracket_table(p.q, a.shape[1] + 1, True)[1:])
     if _cleared_at_one(a, brackets, p):
         return 0.0
     f_one = np.array([math.fsum([1.0, *row]) for row in (-a).tolist()])
-    if not (f_one > 0.0).all():
-        return math.inf
     dq_one = np.array([math.fsum([1.0, *row]) for row in (-(brackets * a)).tolist()])
     return max(0.0, float(-conic_margin(dq_one / f_one, p.k, p.alpha).min()))
 

@@ -84,10 +84,10 @@ class TestQnum:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "overflows" in lines[0]
 
-    def test_conditioning_warning(self, capsys):
-        code, _, err = run_cli(capsys, "qnum", "--n", "2", "--q", "1e-4", "--symmetric")
+    def test_small_q_prints_only_the_value(self, capsys):
+        code, out, err = run_cli(capsys, "qnum", "--n", "3", "--q", "1e-4", "--symmetric")
         assert code == EXIT_OK
-        assert "warning" in err
+        assert (out, err) == ("100000001\n", "")
 
     # These used to sum n terms in a Python loop that nothing stopped (the first
     # two never returned), so they run in a child process that the timeout ends.
@@ -209,6 +209,12 @@ class TestMemberAndExtremal:
         assert doc["sampled"]["certified"] == "not-member-witness"
         assert doc["sampled"]["margin"] is None
         assert complex(*doc["sampled"]["witness"]) == pytest.approx(-0.52)
+
+    def test_missing_file_at_small_q_is_one_line(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "member", "--in", str(tmp_path / "nope.json"),
+                                 "--q", "1e-4", "--k", "0", "--alpha", "0")
+        assert code == EXIT_ERROR
+        assert_one_error_line(out, err, "--in")
 
     def test_witness_exit_code(self, capsys, tmp_path):
         fpath = write_function(tmp_path / "fat.json", [1.0, -0.9], order=8)
@@ -524,6 +530,8 @@ class TestEntryPoint:
         (("distortion", "--q", "0.5", "--k", "0", "--alpha", "0"), "--r"),
         (("fs-bound", "--q", "0.5", "--k", "0", "--alpha", "0"), "--mu"),
         (("oracle", "--which", "h2", "--k", "0", "--alpha", "0"), "--q"),
+        # a small q adds no line of its own before the refusal
+        (("distortion", "--q", "1e-4", "--k", "0", "--alpha", "0"), "--r"),
     ])
     def test_required_flags(self, capsys, argv, missing):
         code, out, err = run_cli(capsys, *argv)

@@ -88,6 +88,15 @@ class TestCoefficientsFromSchwarz:
         assert q4 == pytest.approx(9.625, abs=1e-14)
         assert symmetric_gaps(1.0) == pytest.approx((1.0, 2.0, 3.0))
 
+    @given(st.one_of(st.sampled_from([1.0, math.nextafter(1.0, 0.0), 1e-3, 1e-60]),
+                     st.floats(1e-100, 1.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_gaps_are_at_least_one_two_three(self, q):
+        # q + 1/q >= 2, q^2 + q^-2 >= 2 and q^3 + q + 1/q + q^-3 >= 4 hold for
+        # every q > 0, so no gap is ever zero or negative and symmetric_gaps
+        # refuses none; below about 1e-103, [4]~_q overflows and is refused there
+        assert symmetric_gaps(q) >= (1.0, 2.0, 3.0)
+
 
 class TestHankelQuantities:
     def test_hand_values_at_classical_point(self):

@@ -693,16 +693,18 @@ class TestExactSufficiencyOracle:
         assert got > 0.0
         assert got == pytest.approx(-_margin_at_one(past, p), rel=1e-12)
 
-    def test_zero_of_f_on_the_closed_disk_is_unbounded(self, monkeypatch):
-        p = ClassParams(1.0, 0.0, 0.0)
-        vanishing = TruncatedSeries.from_taylor([1.0, -1.0])  # f(1) = 0
-        monkeypatch.setattr(verify, "random_certified_rows", _drawing_only(vanishing))
-        assert verify._sufficiency_oracle(p, np.random.default_rng(0)) == math.inf
-        # the vanishing member still counts when certified members come first
-        rows = np.vstack([random_certified_rows(p, np.random.default_rng(0), 19, 2),
-                          t_form_magnitudes(vanishing)])
-        monkeypatch.setattr(verify, "random_certified_rows", lambda *args: rows)
-        assert verify._sufficiency_oracle(p, np.random.default_rng(0)) == math.inf
+    @given(q=st.one_of(st.just(1.0), st.floats(1e-6, 1.0)),
+           k=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1e6)),
+           alpha=st.floats(0.0, 1.0, exclude_max=True),
+           seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_certified_rows_keep_f_one_at_least_half(self, q, k, alpha, seed):
+        # phi_n >= phi_2 >= k + 2 - alpha, so a row within the budget 1 - alpha
+        # sums to at most (1 - alpha)/(k + 2 - alpha) <= 1/2: f(1) >= 1/2, and
+        # the oracle needs no refusal of a zero of f on the closed disk
+        p = ClassParams(q, k, alpha)
+        rows = random_certified_rows(p, np.random.default_rng(seed), 20, 32)
+        assert max(map(math.fsum, rows.tolist())) <= 0.5
 
 
 def _polynomial_candidates(consts):
