@@ -173,24 +173,22 @@ def _fs_parts(consts, mu, b):
     return a3 - mu * a2 * a2, P1 * gap / (4.0 * q3)
 
 
-# x = 0, 1, -1, where _h2_coefficients reads u off; a trailing axis against B1.
-_H2_X_PROBES = np.array([0.0, 1.0, -1.0])
+def _h2_fit(consts):
+    """(a, b, l0, l1): al = a t^2, be = b t (4 - t) and ga = (4 - t)(l0 + l1 t) in t = B1^2.
 
-
-def _h2_coefficients(consts, b):
-    """(al, be, ga) with a2 a4 - a3^2 = al + be x + ga x^2 at zeta = 0, elementwise in real b.
-
-    Read off u at x = 0, 1, -1 in one broadcast _h2_parts call; all three are real.
+    a2 a4 - a3^2 = al + be x + ga x^2 at zeta = 0 (notes/decisions.md); u is
+    read off at x = 0, 1, -1 and B1 = 0, 1 in one broadcast _h2_parts call.
     """
-    u = _h2_parts(consts, np.asarray(b)[..., None], _H2_X_PROBES)[0].real
-    u0, u_pos, u_neg = u[..., 0], u[..., 1], u[..., 2]
-    return u0, (u_pos - u_neg) / 2.0, (u_pos + u_neg) / 2.0 - u0
+    u = _h2_parts(consts, np.array([[0.0], [1.0]]), np.array([0.0, 1.0, -1.0]))[0].real
+    be, ga = (u[:, 1] - u[:, 2]) / 2.0, (u[:, 1] + u[:, 2]) / 2.0 - u[:, 0]
+    l0 = ga[0] / 4.0
+    return u[1, 0], be[1] / 3.0, l0, ga[1] / 3.0 - l0
 
 
-def _h2_cells(consts, b_vals):
+def _h2_cells(fit, b_vals):
     """Per B1: max over |x| = 1 of |a2 a4 - a3^2|, and its cos(arg x).
 
-    On |x| = 1, where v = 0, with c = cos(arg x),
+    On |x| = 1, where v = 0, with c = cos(arg x) and al, be, ga from fit,
 
         |u|^2 = A + B c + C c^2,    A = al^2 + be^2 + ga^2 - 2 al ga,
                                     B = 2 al be + 2 be ga,  C = 4 al ga,
@@ -199,7 +197,9 @@ def _h2_cells(consts, b_vals):
     vertex -B / (2C).  Returns two arrays of the shape of b_vals: the
     maxima and their c.
     """
-    al, be, ga = _h2_coefficients(consts, b_vals)
+    a, b, l0, l1 = fit
+    t = b_vals * b_vals
+    al, be, ga = a * t * t, b * t * (4.0 - t), (4.0 - t) * (l0 + l1 * t)
     B = 2.0 * be * (al + ga)
     C = 4.0 * al * ga
     vertex = np.ones_like(C)
@@ -212,13 +212,12 @@ def _h2_cells(consts, b_vals):
     return u_abs.max(axis=0), np.take_along_axis(cos, pick, 0)[0]
 
 
-def _h2_b1_candidates(consts) -> np.ndarray:
+def _h2_b1_candidates(fit) -> np.ndarray:
     """The B1 values, ascending, where the maximum of _h2_cells over B1 in [0, 2] can sit.
 
-    In t = B1^2, al = a t^2, be = b t (4 - t) and ga = (4 - t)(l0 + l1 t)
-    (notes/decisions.md), read off at B1 = 0 and B1 = 1.  The candidates
-    are t = 0, t = 4, the vertices of the quadratics u(1) and u(-1), and
-    the critical points of the vertex branch in arg x, whose square is
+    In t = B1^2, with fit = (a, b, l0, l1) (_h2_fit), the candidates are
+    t = 0, t = 4, the vertices of the quadratics u(1) and u(-1), and the
+    critical points of the vertex branch in arg x, whose square is
     D^2 M / (4 a L) with D = al - ga, M = 4 a L - b^2 (4 - t) and
     L = l0 + l1 t: the roots of the cubic 2 D' M L + D (M' L - M L').
     Every root's real part is kept, clipped to [0, 4]; a spurious
@@ -227,9 +226,7 @@ def _h2_b1_candidates(consts) -> np.ndarray:
     and np.polyadd would take: each is a sum of at most two products, so
     the bits are theirs.
     """
-    al, be, ga = _h2_coefficients(consts, np.array([0.0, 1.0]))
-    a, b, l0 = al[1], be[1] / 3.0, ga[0] / 4.0
-    l1 = ga[1] / 3.0 - l0
+    a, b, l0, l1 = fit
     t = [0.0, 4.0]
     for s in (1.0, -1.0):  # u(s) = (a - s b - l1) t^2 + (4 s b + 4 l1 - l0) t + 4 l0
         c2, c1 = a - s * b - l1, 4.0 * (s * b + l1) - l0
@@ -263,8 +260,9 @@ def oracle_h2_max(P: ConicCoefficients, q: float) -> OracleResult:
     """
     consts = _resolve_constants(P, q)
     with np.errstate(all="ignore"):
-        b_vals = _h2_b1_candidates(consts)
-        vals, cos = _h2_cells(consts, b_vals)
+        fit = _h2_fit(consts)
+        b_vals = _h2_b1_candidates(fit)
+        vals, cos = _h2_cells(fit, b_vals)
         i = int(np.argmax(vals))
         b0, cos0 = float(b_vals[i]), float(cos[i])
         x = complex(cos0, math.sqrt(1.0 - cos0 * cos0))

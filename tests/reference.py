@@ -2,9 +2,10 @@
 
 Plain truncated-series algebra (sum, Cauchy product, argument scaling,
 Horner evaluation), the coefficients (a2, a3, a4) of the member that one
-Schwarz triple generates, and the sampled membership scan over the whole
-grid.  The program needs none of these; the operator identities, envelope
-checks and oracle cross-checks in the tests do.
+Schwarz triple generates, the H2 functional's coefficients in x read off
+at any B1, and the sampled membership scan over the whole grid.  The
+program needs none of these; the operator identities, envelope checks and
+oracle cross-checks in the tests do.
 
 Last, the correctly rounded definitions of the weight check and of the two
 seeded ledger oracles: convex_weight_rows, random_certified_rows,
@@ -77,6 +78,19 @@ def coefficients_at(P, triple, q: float) -> tuple[complex, complex, complex]:
     assert abs(b2) <= 2.0 + COEFF_BOUND_TOL and abs(b3) <= 2.0 + COEFF_BOUND_TOL, (b2, b3)
     a2, a3, a4 = schwarz_to_coefficients(P.P1, P.P2, P.P3, *symmetric_gaps(q), triple.B1, b2, b3)
     return complex(a2), complex(a3), complex(a4)
+
+
+def h2_coefficients(consts, b):
+    """(al, be, ga) with a2 a4 - a3^2 = al + be x + ga x^2 at zeta = 0, elementwise in real b.
+
+    consts is (P1, P2, P3, q2, q3, q4); u is read off at x = 0, 1, -1, and all three are real.
+    """
+    b = np.asarray(b)[..., None]
+    b2, b3 = caratheodory_b2_b3(b, np.array([0.0, 1.0, -1.0]), 0.0)
+    a2, a3, a4 = schwarz_to_coefficients(*consts, b, b2, b3)
+    u = (a2 * a4 - a3 * a3).real
+    u0, u_pos, u_neg = u[..., 0], u[..., 1], u[..., 2]
+    return u0, (u_pos - u_neg) / 2.0, (u_pos + u_neg) / 2.0 - u0
 
 
 def full_grid_scan(f: TruncatedSeries, p) -> tuple[str, float, complex | None]:

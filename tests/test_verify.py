@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qstarlike.hankel import (
+    SchwarzTriple,
     caratheodory_b2_b3,
     fekete_szego_breakpoint,
     h2_bound,
@@ -40,7 +41,7 @@ from qstarlike.verify import (
     _fs_parts,
     _h2_b1_candidates,
     _h2_cells,
-    _h2_coefficients,
+    _h2_fit,
     _h2_parts,
     _resolve_constants,
     _roundtrip_oracle,
@@ -102,9 +103,12 @@ class TestOracleScans:
                                                         rel=1e-15)
 
     def test_classical_h2_anchor(self):
-        # Janteng-Halim-Darus: H2 <= 1 for starlike functions, attained
+        # Janteng-Halim-Darus: H2 <= 1 for starlike functions, attained.  At
+        # B1 = 0, x = 1 every operation is exact (a2 = a4 = 0, a3 = 1), and
+        # ties keep the smallest B1, so the value and its argmax are exact too
         result = oracle_h2_max(P00, 1.0)
-        assert result.value == pytest.approx(1.0, abs=1e-14)
+        assert result.value == 1.0
+        assert result.argmax == SchwarzTriple(0.0, 1, 1)
         assert h2_bound(P00, 1.0) == pytest.approx(7.0)
 
     @settings(max_examples=60, deadline=None)
@@ -177,7 +181,7 @@ class TestOracleScans:
         al, lin, quad = (fourier[:, -1, m].real for m in range(3))  # rho_axis[-1] = 1
         loss = (np.abs(2 * lin * (al + quad)) + 2 * np.abs(4 * al * quad)) * (math.pi / n_angles) ** 2 / 2
         u_brute = np.abs(u_samples[:, -1]).max(axis=-1)
-        u_exact, cos = _h2_cells(consts, b_axis)
+        u_exact, cos = _h2_cells(_h2_fit(consts), b_axis)
         assert np.all(u_brute <= u_exact * (1.0 + 1e-12) + 1e-15)
         assert np.all(u_exact**2 <= u_brute**2 + loss + 1e-14 * scale**2)
         if user is not None:
@@ -264,10 +268,13 @@ def _h2_oracle_cases():
 
     With (0.5, 2.1, 6.6) and (0.45, 2.7, 13.1) the maximum sits at an
     interior B1 (1.19 and 1.16, on u(-1)), 38% and 39% above both ends.
+    With (0.636, 4.894, 29.15) it sits at B1 = 1.94 on the vertex branch,
+    cos(arg x) = 0.874, 8.8e-4 above the best of u(1) and u(-1).
     """
     cases = [(conic_coefficients(p.k, p.alpha), p.q) for p in default_parameter_points()]
     cases += [(ConicCoefficients(1.6, 0.7, 2.5), 0.3), (ConicCoefficients(0.5, 2.1, 6.6), 1.0),
-              (ConicCoefficients(0.45, 2.7, 13.1), 0.55)]
+              (ConicCoefficients(0.45, 2.7, 13.1), 0.55),
+              (ConicCoefficients(0.636, 4.894, 29.15), 1.0)]
     return cases + _random_conic_cases(11, 24)
 
 
@@ -275,17 +282,16 @@ class TestH2EndpointLemma:
     """The facts behind the grid-free H2 oracle (notes/decisions.md)."""
 
     def test_coefficients_are_polynomials_in_b1_squared(self):
-        # al = a t^2, be = b t (4 - t), ga = (4 - t)(l0 + l1 t), read at B1 = 0, 1
+        # al = a t^2, be = b t (4 - t), ga = (4 - t)(l0 + l1 t) with the fit read
+        # at B1 = 0, 1, against u read off the functional at each of 41 B1 values
         b = np.linspace(0.0, 2.0, 41)
         t = b * b
         for P, q in _random_conic_cases(3, 40):
             consts = _resolve_constants(P, q)
-            al, be, ga = _h2_coefficients(consts, b)
-            (_, a), (_, b3), (g0, g1) = _h2_coefficients(consts, np.array([0.0, 1.0]))
-            l0 = g0 / 4.0
-            l1 = g1 / 3.0 - l0
+            al, be, ga = reference.h2_coefficients(consts, b)
+            a, b_fit, l0, l1 = _h2_fit(consts)
             scale = max(np.abs(al).max(), np.abs(be).max(), np.abs(ga).max())
-            for got, want in ((al, a * t * t), (be, b3 / 3.0 * t * (4.0 - t)),
+            for got, want in ((al, a * t * t), (be, b_fit * t * (4.0 - t)),
                               (ga, (4.0 - t) * (l0 + l1 * t))):
                 assert np.abs(got - want).max() <= 1e-12 * scale
 
@@ -298,7 +304,7 @@ class TestH2EndpointLemma:
             consts = _resolve_constants(P, q)
             P1, q2, q3, q4 = consts[0], *consts[3:]
             assert q3 * q3 > q2 * q4 and 2.0 * q2 * q4 > q3 * q3
-            _, _, ga = _h2_coefficients(consts, b)
+            _, _, ga = reference.h2_coefficients(consts, b)
             K = P1 * P1 * b * (4.0 - t) / (8.0 * q2 * q4)
             rhs = P1 * P1 * (4.0 - t) * (2.0 - b) * (2.0 * q2 * q4 - (q3 * q3 - q2 * q4) * b)
             lhs = 16.0 * q2 * q3 * q3 * q4 * (-ga - K)
@@ -316,7 +322,7 @@ class TestH2EndpointLemma:
             consts = _resolve_constants(P, q)
             u, v = _h2_parts(consts, b, x)
             inside = (np.abs(u) + np.abs(v)).max(axis=(1, 2))
-            on_circle, _ = _h2_cells(consts, b[:, 0, 0])
+            on_circle, _ = _h2_cells(_h2_fit(consts), b[:, 0, 0])
             assert np.all(inside <= on_circle * (1.0 + 1e-12) + 1e-300)
 
     def test_oracle_dominates_dense_scan_and_brute_force(self):
@@ -326,7 +332,7 @@ class TestH2EndpointLemma:
         for P, q in _h2_oracle_cases():
             consts = _resolve_constants(P, q)
             res = oracle_h2_max(P, q)
-            dense, _ = _h2_cells(consts, dense_b)
+            dense, _ = _h2_cells(_h2_fit(consts), dense_b)
             assert res.value >= dense.max() * (1.0 - 1e-12)
             b1 = 2.0 * rng.random(n)
             x = np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
@@ -621,7 +627,7 @@ class TestWholeArrayOracles:
         cases = [(conic_coefficients(p.k, p.alpha), p.q) for p in default_parameter_points()]
         for P, q in cases + [(ConicCoefficients(1.6, 0.7, 2.5), 0.3)]:
             consts = _resolve_constants(P, q)
-            vals, cos = _h2_cells(consts, b)
+            vals, cos = _h2_cells(_h2_fit(consts), b)
             x = cos + 1j * np.sqrt(1.0 - cos * cos)
             b2, b3 = caratheodory_b2_b3(b, x, 0.0)
             a2, a3, a4 = schwarz_to_coefficients(*consts, b, b2, b3)
@@ -708,8 +714,8 @@ class TestExactSufficiencyOracle:
 
 
 def _polynomial_candidates(consts):
-    """_h2_b1_candidates with its cubic built by np.polymul and np.polyadd."""
-    al, be, ga = _h2_coefficients(consts, np.array([0.0, 1.0]))
+    """_h2_b1_candidates, its fit read off reference.h2_coefficients, its cubic by np.polymul."""
+    al, be, ga = reference.h2_coefficients(consts, np.array([0.0, 1.0]))
     a, b, l0 = al[1], be[1] / 3.0, ga[0] / 4.0
     l1 = ga[1] / 3.0 - l0
     t = [0.0, 4.0]
@@ -770,4 +776,5 @@ class TestOneArrayPassPerPoint:
         for P, q in _random_conic_cases(13, 500):
             consts = _resolve_constants(P, q)
             with np.errstate(all="ignore"):
-                assert np.array_equal(_h2_b1_candidates(consts), _polynomial_candidates(consts))
+                assert np.array_equal(_h2_b1_candidates(_h2_fit(consts)),
+                                      _polynomial_candidates(consts))
