@@ -26,14 +26,25 @@ from __future__ import annotations
 import contextlib
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
 
 from . import series as ser
-from .conic import ClassParams, conic_margin
-from .qcalc import bracket_table, symmetric_q_derivative
+# the extreme points and the envelopes are closed forms in conic, imported here
+# for the callers of classes
+from .conic import (
+    MAX_EXTREMAL_ORDER,
+    ClassParams,
+    conic_margin,
+    derivative_distortion_bounds,
+    distortion_bounds,
+    distortion_coefficient,
+    extremal_function,
+    phi_weights,
+)
+from .qcalc import symmetric_q_derivative
 from .series import DEFAULT_ORDER, GRID_ANGLES, TruncatedSeries, grid_point, require_normalized
 
 CERTIFIED_MEMBER_SUFFICIENT = "member-sufficient"
@@ -46,10 +57,6 @@ CERTIFIED_INCONCLUSIVE = "inconclusive"
 # reaches 1e19 at q = 0.5, n = 64, so no |a_n| is ever rounded to zero.
 T_FORM_ZERO_TOL = 1e-14
 
-# Largest extremal index and order: phi_n grows like q^-(n-1) and overflows near
-# n = 1024 at q = 0.5; larger requests are refused before any allocation.
-MAX_EXTREMAL_ORDER = ser.MAX_ORDER
-
 
 class TFormError(ValueError):
     """Input is not of the negative-coefficient form z - a2 z^2 - ..."""
@@ -59,15 +66,13 @@ class DecompositionError(ValueError):
     """Extreme-point decomposition infeasible (the function is no member)."""
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
-    certified: str
-    margin: float
-    witness: complex | None = None
+class MembershipVerdict(namedtuple("MembershipVerdict", "certified margin witness")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.certified == CERTIFIED_NOT_MEMBER_WITNESS and self.witness is None:
+    def __new__(cls, certified, margin, witness=None):
+        if certified == CERTIFIED_NOT_MEMBER_WITNESS and witness is None:
             raise ValueError("a not-member verdict must carry a witness point")
+        return super().__new__(cls, certified, margin, witness)
 
     def to_json_dict(self) -> dict:
         """JSON-safe form; a margin of -inf (a zero of f) is written as null."""
@@ -79,24 +84,23 @@ class MembershipVerdict:
         }
 
 
-@dataclass(frozen=True)
-class DecompositionWeights:
+class DecompositionWeights(namedtuple("DecompositionWeights", "lambdas")):
     """Convex weights (lambda_1, lambda_2, ...) over the extreme points.
 
     The one-row case of convex_weight_rows, checked in Python floats: for
     one row, numpy's set-up costs more than the checks themselves.
     """
 
-    lambdas: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        lams = tuple(map(float, self.lambdas))
+    def __new__(cls, lambdas):
+        lams = tuple(map(float, lambdas))
         if not lams:
             raise ValueError("weight vector is empty")
         if any(x < -1e-12 for x in lams):
             raise ValueError("weights must be nonnegative")
         _refuse_off_sums([lams])
-        object.__setattr__(self, "lambdas", tuple(0.0 if x < 0.0 else x for x in lams))
+        return super().__new__(cls, tuple(0.0 if x < 0.0 else x for x in lams))
 
 
 def _refuse_off_sums(rows) -> None:
@@ -132,28 +136,19 @@ def convex_weight_rows(lams: np.ndarray) -> np.ndarray:
 
 
 def threshold_denominator(n: int, p: ClassParams) -> float:
-    """phi_n = [n]~_q (k+1) - (k + alpha), positive for every n >= 2: phi_table's entry."""
+    """phi_n = [n]~_q (k+1) - (k + alpha), positive for every n >= 2: phi_weights' entry."""
     if n < 2:
         raise ValueError(f"threshold weights start at n = 2, got {n}")
-    return float(phi_table(p, n)[n - 2])
+    return phi_weights(p, n)[n - 2]
 
 
 @lru_cache(maxsize=64)
 def phi_table(p: ClassParams, order: int) -> np.ndarray:
-    """Read-only (phi_2, ..., phi_order), phi_n = [n]~_q (k+1) - (k + alpha); the one table.
+    """conic.phi_weights(p, order), (phi_2, ..., phi_order), as a read-only array: the same doubles.
 
-    A weight that overflows a double raises OverflowError naming its n; it
-    would otherwise turn into inf, and inf * 0 into NaN in every weighted sum.
+    A weight that overflows raises phi_weights' OverflowError.
     """
-    brackets = np.array(bracket_table(p.q, order, True)[1:])
-    with np.errstate(over="ignore"):
-        phi = brackets * (p.k + 1.0) - (p.k + p.alpha)
-    overflowed = np.flatnonzero(np.isinf(phi))
-    if overflowed.size:
-        n = int(overflowed[0]) + 2
-        raise OverflowError(
-            f"phi_{n} = [{n}]~_q (k+1) - (k+alpha) overflows a double at q={p.q}, k={p.k}"
-        )
+    phi = np.array(phi_weights(p, order))
     phi.flags.writeable = False
     return phi
 
@@ -181,7 +176,7 @@ def budget_rows(rows: list[list[float]], p: ClassParams) -> list[float]:
     Python float products overflow to inf without a numpy warning.  Callers
     take complex magnitudes with Python's abs: numpy's can differ in the last bit.
     """
-    phi = phi_table(p, len(rows[0]) + 1).tolist() if rows else []
+    phi = phi_weights(p, len(rows[0]) + 1) if rows else ()
     return _budget_sums([map(operator.mul, phi, row) for row in rows], p)
 
 
@@ -300,51 +295,6 @@ def sampled_membership(f: TruncatedSeries, p: ClassParams) -> MembershipVerdict:
             return MembershipVerdict(CERTIFIED_NOT_MEMBER_WITNESS, float(margins[i, j]),
                                      grid_point(i, j))
     return MembershipVerdict(CERTIFIED_INCONCLUSIVE, margin=float(least))
-
-
-def extremal_function(n: int, p: ClassParams, order: int | None = None) -> TruncatedSeries:
-    """f_1(z) = z and f_n(z) = z - (1-alpha)/phi_n * z^n, the extreme points.
-
-    order defaults to max(DEFAULT_ORDER, n); an explicit order below
-    max(n, 2) is refused, and so is one whose weights phi_table overflow.
-    """
-    if n < 1:
-        raise ValueError(f"extremal functions are indexed from 1, got {n}")
-    if order is None:
-        order = max(DEFAULT_ORDER, n)
-    if max(n, order) > MAX_EXTREMAL_ORDER:
-        raise ValueError(f"n = {n} and order = {order} must not exceed {MAX_EXTREMAL_ORDER}")
-    if order < max(n, 2):
-        raise ValueError(f"order = {order} is below max(n, 2) = {max(n, 2)} for n = {n}")
-    phi = phi_table(p, order)
-    if n == 1:
-        return TruncatedSeries.identity(order)
-    taylor = [0j] * n
-    taylor[0] = 1.0 + 0j
-    taylor[n - 1] = -(1.0 - p.alpha) / phi[n - 2]
-    return TruncatedSeries.from_taylor(taylor, order=order)
-
-
-def distortion_coefficient(p: ClassParams) -> float:
-    """c = q(1-alpha) / ((q^2+1)(k+1) - q(k+alpha)), always below 1."""
-    q = p.q
-    return q * (1.0 - p.alpha) / ((q * q + 1.0) * (p.k + 1.0) - q * (p.k + p.alpha))
-
-
-def distortion_bounds(r: float, p: ClassParams) -> tuple[float, float]:
-    """Envelope r -+ c r^2 <= |f(z)| <= r + c r^2 on |z| = r for members."""
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"radius must lie in [0, 1), got {r}")
-    c = distortion_coefficient(p)
-    return r - c * r * r, r + c * r * r
-
-
-def derivative_distortion_bounds(r: float, p: ClassParams) -> tuple[float, float]:
-    """Envelope 1 -+ 2c r <= |f'(z)| <= 1 + 2c r for members."""
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"radius must lie in [0, 1), got {r}")
-    c = distortion_coefficient(p)
-    return 1.0 - 2.0 * c * r, 1.0 + 2.0 * c * r
 
 
 def extreme_point_decompose(f: TruncatedSeries, p: ClassParams) -> DecompositionWeights:

@@ -30,16 +30,16 @@ from __future__ import annotations
 
 import argparse
 import csv as csv_module
-import dataclasses
 import io
 import json
 import math
 import sys
 
 # classes and verify load numpy, so they are imported inside the handlers that
-# use them; the closed-form verbs (qnum, deriv, hankel-bound, fs-bound) and
-# --version start without it.
+# use them; the closed-form verbs (qnum, deriv, extremal, distortion,
+# hankel-bound, fs-bound) and --version start without it.
 from . import __version__
+from . import conic
 from . import hankel as hk
 from . import qcalc
 from . import series as ser
@@ -102,10 +102,10 @@ def _render(fmt: str, payload: dict, lines, csv_text=None) -> str:
 
 
 def _payload(*params, **body) -> dict:
-    """The machine payload; its params echo merges the dicts and dataclasses given, in order."""
+    """The machine payload; its params echo merges the dicts and records given, in order."""
     echo: dict = {}
     for part in params:
-        echo.update(part if isinstance(part, dict) else dataclasses.asdict(part))
+        echo.update(part if isinstance(part, dict) else part._asdict())
     return {"tool": "qstarlike", "version": __version__, "params": echo, **body}
 
 
@@ -236,9 +236,7 @@ def _cmd_member(args):
 
 def _cmd_extremal(args):
     p = ClassParams(args.q, args.k, args.alpha)
-    from . import classes as cls
-
-    f = cls.extremal_function(args.n, p, order=args.order)
+    f = conic.extremal_function(args.n, p, order=args.order)
     payload = _payload({"n": args.n}, p, {"order": f.order}, **ser.to_json_dict(f))
     return EXIT_OK, payload, [json.dumps(payload, indent=1)]
 
@@ -246,14 +244,12 @@ def _cmd_extremal(args):
 def _cmd_distortion(args):
     p = ClassParams(args.q, args.k, args.alpha)
     r = args.r
-    from . import classes as cls
-
-    lo, hi = cls.distortion_bounds(r, p)
-    dlo, dhi = cls.derivative_distortion_bounds(r, p)
+    lo, hi = conic.distortion_bounds(r, p)
+    dlo, dhi = conic.derivative_distortion_bounds(r, p)
     payload = _payload(
         {"r": r}, p,
         lower=lo, upper=hi, derivative_lower=dlo, derivative_upper=dhi,
-        coefficient=cls.distortion_coefficient(p),
+        coefficient=conic.distortion_coefficient(p),
     )
     return EXIT_OK, payload, [f"|f|  in [{_fmt(lo)}, {_fmt(hi)}]",
                               f"|f'| in [{_fmt(dlo)}, {_fmt(dhi)}]"]
@@ -275,7 +271,7 @@ def _cmd_hankel_bound(args):
     P = _user_conic(args) or conic_coefficients(p.k, p.alpha)
     hq = hk.hankel_quantities(P, p.q)
     bound = hk.h2_bound(P, p.q)
-    payload = _payload(p, P, bound=bound, quantities=dataclasses.asdict(hq))
+    payload = _payload(p, P, bound=bound, quantities=hq._asdict())
     return EXIT_OK, payload, [f"|a2 a4 - a3^2| <= {_fmt(bound)}"]
 
 
@@ -343,7 +339,25 @@ def _cmd_ledger(args):
             _ledger_summary(report), report.csv_text)
 
 
+class _FloatLiteral:
+    """What _Parser takes for a negative number: any text that float() reads."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only -\d+ and -\d*\.\d+ as negative numbers, and would take
+        # "--mu -1e-3" or "--mu -inf" for an option; this way each flag's type sees them
+        self._negative_number_matcher = _FloatLiteral
+
     # usage problems must exit 1, not argparse's default 2 (2 means findings)
     def error(self, message):
         raise CliError(message)

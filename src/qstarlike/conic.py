@@ -23,18 +23,30 @@ any other k the trigonometric / elliptic disk maps are deliberately not
 constructed here; callers must inject coefficients, and the verification
 ledger marks everything downstream of injected values as reconstructed
 input.
+
+A point (q, k, alpha) also fixes the class weights
+phi_n = [n]~_q (k+1) - (k + alpha), and with them the extremal functions
+and the distortion envelopes.  Those are closed forms, computed here in
+Python floats, so the verbs that print them start without numpy; classes
+builds its arrays from the same phi_weights table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import lru_cache
 
-from .qcalc import validate_q
+from .qcalc import bracket_table, validate_q
+from .series import DEFAULT_ORDER, MAX_ORDER, TruncatedSeries
 
 PROVENANCE_BUILTIN_K0 = "builtin-k0"
 PROVENANCE_BUILTIN_K1 = "builtin-k1"
 PROVENANCE_USER = "user"
+
+# Largest extremal index and order: phi_n grows like q^-(n-1) and overflows near
+# n = 1024 at q = 0.5; larger requests are refused before any allocation.
+MAX_EXTREMAL_ORDER = MAX_ORDER
 
 
 class UnsupportedConicRegimeError(ValueError):
@@ -57,44 +69,99 @@ def _check_alpha(alpha) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class ClassParams:
+class ClassParams(namedtuple("ClassParams", "q k alpha")):
     """The triple (q, k, alpha) selecting one function class."""
 
-    q: float
-    k: float
-    alpha: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", validate_q(self.q))
-        object.__setattr__(self, "k", _check_k(self.k))
-        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
+    def __new__(cls, q, k, alpha):
+        return super().__new__(cls, validate_q(q), _check_k(k), _check_alpha(alpha))
 
 
-@dataclass(frozen=True)
-class ConicCoefficients:
+class ConicCoefficients(namedtuple("ConicCoefficients", "P1 P2 P3 provenance")):
     """First three Taylor coefficients of the disk map onto Omega(k, alpha)."""
 
-    P1: float
-    P2: float
-    P3: float
-    provenance: str = PROVENANCE_USER
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("P1", "P2", "P3"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.P1 > 0.0:
-            raise ValueError(f"P1 must be positive, got {self.P1}")
-        if self.P2 < 0.0 or self.P3 < 0.0:
-            raise ValueError(f"P2 and P3 must be nonnegative, got {self.P2}, {self.P3}")
-        if self.provenance not in (PROVENANCE_BUILTIN_K0, PROVENANCE_BUILTIN_K1, PROVENANCE_USER):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
+    def __new__(cls, P1, P2, P3, provenance=PROVENANCE_USER):
+        for name, value in (("P1", P1), ("P2", P2), ("P3", P3)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not P1 > 0.0:
+            raise ValueError(f"P1 must be positive, got {P1}")
+        if P2 < 0.0 or P3 < 0.0:
+            raise ValueError(f"P2 and P3 must be nonnegative, got {P2}, {P3}")
+        if provenance not in (PROVENANCE_BUILTIN_K0, PROVENANCE_BUILTIN_K1, PROVENANCE_USER):
+            raise ValueError(f"unknown provenance {provenance!r}")
+        return super().__new__(cls, P1, P2, P3, provenance)
 
     @property
     def is_reconstructed(self) -> bool:
         """True unless derived from the forced half-plane map (k = 0)."""
         return self.provenance != PROVENANCE_BUILTIN_K0
+
+
+@lru_cache(maxsize=64)
+def phi_weights(p: ClassParams, order: int) -> tuple[float, ...]:
+    """(phi_2, ..., phi_order), phi_n = [n]~_q (k+1) - (k + alpha); the one table of class weights.
+
+    Each weight is the two IEEE operations of the formula on the bracket
+    table.  One that overflows a double raises OverflowError naming its n;
+    it would otherwise turn into inf, and inf * 0 into NaN in every weighted sum.
+    """
+    scale, shift = p.k + 1.0, p.k + p.alpha
+    phi = tuple(bracket * scale - shift for bracket in bracket_table(p.q, order, True)[1:])
+    if math.inf in phi:  # the weights are positive, so an overflow is +inf
+        n = phi.index(math.inf) + 2
+        raise OverflowError(
+            f"phi_{n} = [{n}]~_q (k+1) - (k+alpha) overflows a double at q={p.q}, k={p.k}"
+        )
+    return phi
+
+
+def extremal_function(n: int, p: ClassParams, order: int | None = None) -> TruncatedSeries:
+    """f_1(z) = z and f_n(z) = z - (1-alpha)/phi_n * z^n, the extreme points.
+
+    order defaults to max(DEFAULT_ORDER, n); an explicit order below
+    max(n, 2) is refused, and so is one whose weights phi_weights overflow.
+    """
+    if n < 1:
+        raise ValueError(f"extremal functions are indexed from 1, got {n}")
+    if order is None:
+        order = max(DEFAULT_ORDER, n)
+    if max(n, order) > MAX_EXTREMAL_ORDER:
+        raise ValueError(f"n = {n} and order = {order} must not exceed {MAX_EXTREMAL_ORDER}")
+    if order < max(n, 2):
+        raise ValueError(f"order = {order} is below max(n, 2) = {max(n, 2)} for n = {n}")
+    phi = phi_weights(p, order)
+    if n == 1:
+        return TruncatedSeries.identity(order)
+    taylor = [0j] * n
+    taylor[0] = 1.0 + 0j
+    taylor[n - 1] = -(1.0 - p.alpha) / phi[n - 2]
+    return TruncatedSeries.from_taylor(taylor, order=order)
+
+
+def distortion_coefficient(p: ClassParams) -> float:
+    """c = q(1-alpha) / ((q^2+1)(k+1) - q(k+alpha)), always below 1."""
+    q = p.q
+    return q * (1.0 - p.alpha) / ((q * q + 1.0) * (p.k + 1.0) - q * (p.k + p.alpha))
+
+
+def distortion_bounds(r: float, p: ClassParams) -> tuple[float, float]:
+    """Envelope r -+ c r^2 <= |f(z)| <= r + c r^2 on |z| = r for members."""
+    if not 0.0 <= r < 1.0:
+        raise ValueError(f"radius must lie in [0, 1), got {r}")
+    c = distortion_coefficient(p)
+    return r - c * r * r, r + c * r * r
+
+
+def derivative_distortion_bounds(r: float, p: ClassParams) -> tuple[float, float]:
+    """Envelope 1 -+ 2c r <= |f'(z)| <= 1 + 2c r for members."""
+    if not 0.0 <= r < 1.0:
+        raise ValueError(f"radius must lie in [0, 1), got {r}")
+    c = distortion_coefficient(p)
+    return 1.0 - 2.0 * c * r, 1.0 + 2.0 * c * r
 
 
 def conic_margin(w, k: float, alpha: float):

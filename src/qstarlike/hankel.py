@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, is_dataclass
+from collections import namedtuple
 
 from .conic import ConicCoefficients
 from .qcalc import bracket_table, validate_q
@@ -48,14 +48,14 @@ COEFF_BOUND_TOL = 1e-12
 
 
 def _all_finite(value) -> bool:
-    """value is finite: a float, each top-level float field of a dataclass, or each tuple item.
+    """value is finite: a float, each top-level float field of a record, or each tuple item.
 
-    Fields are read shallowly: a nested dataclass, such as an oracle's
-    argmax, is not a result and is not copied or checked.
+    A record is a named tuple.  Its fields are read shallowly: a nested
+    record, such as an oracle's argmax, is not a result and is not checked.
     """
-    if isinstance(value, tuple):
+    if isinstance(value, tuple) and not hasattr(value, "_fields"):
         return all(map(_all_finite, value))
-    fields = vars(value).values() if is_dataclass(value) else (value,)
+    fields = value if isinstance(value, tuple) else (value,)
     return all(math.isfinite(v) for v in fields if isinstance(v, float))
 
 
@@ -84,24 +84,19 @@ def refuse_overflow(what: str):
     return wrap
 
 
-@dataclass(frozen=True)
-class SchwarzTriple:
+class SchwarzTriple(namedtuple("SchwarzTriple", "B1 x zeta")):
     """(B1, x, zeta) with B1 in [0, 2] real and |x|, |zeta| <= 1."""
 
-    B1: float
-    x: complex
-    zeta: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.B1 <= 2.0:
-            raise ValueError(f"B1 must lie in [0, 2], got {self.B1}")
-        if abs(self.x) > 1.0 + COEFF_BOUND_TOL:
-            raise ValueError(f"|x| must be <= 1, got {abs(self.x)}")
-        if abs(self.zeta) > 1.0 + COEFF_BOUND_TOL:
-            raise ValueError(f"|zeta| must be <= 1, got {abs(self.zeta)}")
-        object.__setattr__(self, "B1", float(self.B1))
-        object.__setattr__(self, "x", complex(self.x))
-        object.__setattr__(self, "zeta", complex(self.zeta))
+    def __new__(cls, B1, x, zeta):
+        if not 0.0 <= B1 <= 2.0:
+            raise ValueError(f"B1 must lie in [0, 2], got {B1}")
+        if abs(x) > 1.0 + COEFF_BOUND_TOL:
+            raise ValueError(f"|x| must be <= 1, got {abs(x)}")
+        if abs(zeta) > 1.0 + COEFF_BOUND_TOL:
+            raise ValueError(f"|zeta| must be <= 1, got {abs(zeta)}")
+        return super().__new__(cls, float(B1), complex(x), complex(zeta))
 
 
 def caratheodory_b2_b3(b1, x, zeta):
@@ -131,25 +126,14 @@ def schwarz_to_coefficients(P1, P2, P3, q2, q3, q4, b1, b2, b3):
     return a2, a3, a4
 
 
-@dataclass(frozen=True)
-class HankelQuantities:
+class HankelQuantities(namedtuple("HankelQuantities", "q2 q3 q4 S M N U V cP cQ cR")):
     """Intermediate quantities of the second-Hankel bound.
 
     (cP, cQ, cR) are the quadratic's coefficients in t = B1^2; they are
     named with a c prefix to keep them apart from the conic P_n.
     """
 
-    q2: float
-    q3: float
-    q4: float
-    S: float
-    M: float
-    N: float
-    U: float
-    V: float
-    cP: float
-    cQ: float
-    cR: float
+    __slots__ = ()
 
 
 @refuse_overflow("a second-Hankel quantity")
@@ -228,8 +212,8 @@ def fekete_szego_bound_real(mu: float, P: ConicCoefficients, q: float) -> float:
     return base + spread * (-pivot_gap)
 
 
-@dataclass(frozen=True)
-class PrintedCorollaryValues:
+class PrintedCorollaryValues(
+        namedtuple("PrintedCorollaryValues", "h21_printed a3_printed h2_limit_printed")):
     """Printed shortcut values retained for the discrepancy ledger.
 
     These are evaluated exactly as printed and are NOT used as bounds:
@@ -239,9 +223,7 @@ class PrintedCorollaryValues:
     printed classical-limit constant 16/pi^2 for the parabolic regime.
     """
 
-    h21_printed: float
-    a3_printed: float
-    h2_limit_printed: float
+    __slots__ = ()
 
 
 @refuse_overflow("a printed corollary value")

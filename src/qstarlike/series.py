@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 # numpy is imported inside the grid functions below only: the rest of this
@@ -44,19 +44,22 @@ class SeriesFormatError(ValueError):
     """Malformed function file, or a number in an input file that is not a finite real."""
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(namedtuple("TruncatedSeries", "coeffs")):
     """Finite complex coefficient sequence, constant term first."""
 
-    coeffs: tuple[complex, ...]
+    __slots__ = ()
+
+    def __new__(cls, coeffs):
+        self = super().__new__(cls, tuple(map(complex, coeffs)))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
+        # a hook of its own, so that perfbench/tracer.py can count the series built
         if len(self.coeffs) < 1:
             raise ValueError("series needs at least a constant term")
-        cleaned = tuple(map(complex, self.coeffs))
-        if not all(map(cmath.isfinite, cleaned)):
+        if not all(map(cmath.isfinite, self.coeffs)):
             raise ValueError("series coefficients must be finite")
-        object.__setattr__(self, "coeffs", cleaned)
 
     @property
     def order(self) -> int:
@@ -86,7 +89,7 @@ class TruncatedSeries:
         The result is zero-padded (or rejected, never silently cut) to
         `order` when given.
         """
-        coeffs = [0j, *taylor]  # __post_init__ converts every entry to complex
+        coeffs = [0j, *taylor]  # __new__ converts every entry to complex
         if order is not None:
             if order + 1 < len(coeffs):
                 raise ValueError(f"{len(coeffs) - 1} coefficients exceed order {order}")

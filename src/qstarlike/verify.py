@@ -38,7 +38,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple
 
@@ -51,9 +50,6 @@ from .classes import (
     compose_rows,
     convex_weight_rows,
     decompose_rows,
-    derivative_distortion_bounds,
-    distortion_bounds,
-    extremal_function,
     phi_table,
     random_certified_rows,
     t_form_rows,
@@ -65,6 +61,9 @@ from .conic import (
     UnsupportedConicRegimeError,
     conic_coefficients,
     conic_margin,
+    derivative_distortion_bounds,
+    distortion_bounds,
+    extremal_function,
 )
 from .hankel import (
     SchwarzTriple,
@@ -99,8 +98,7 @@ class OracleSoundnessError(RuntimeError):
     """A sampled point produced Caratheodory coefficients with |B_n| > 2."""
 
 
-@dataclass(frozen=True)
-class OracleGrid:
+class OracleGrid(NamedTuple):
     """Accepted and unused: the H2 oracle is exact and reads no grid.
 
     The fields stay only because the benchmark's ledger warm-up still
@@ -114,8 +112,7 @@ class OracleGrid:
     refinement: int = 2
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     value: float
     argmax: SchwarzTriple
 
@@ -344,8 +341,7 @@ CSV_FIELDS = [
 ]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     header: dict
     records: tuple[LedgerRecord, ...]
 
@@ -474,8 +470,7 @@ def _at_classical_limit(p: ClassParams) -> bool:
     return (p.q, p.k, p.alpha) == (1.0, 1.0, 0.0)
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """A ledger row: bound(c) against oracle(c) at each point p where applies(p) holds.
 
     c holds a point's shared values (see _point_records).  An OracleResult oracle gives the
@@ -578,7 +573,7 @@ def _point_records(p, user_conic, rng_seed, index) -> Iterator[LedgerRecord]:
     try:
         # user coefficients apply only where no built-in map exists, always as provenance user
         if user_conic is not None and p.k not in (0.0, 1.0):
-            P = replace(user_conic, provenance=PROVENANCE_USER)
+            P = user_conic._replace(provenance=PROVENANCE_USER)
         else:
             P = conic_coefficients(p.k, p.alpha)
     except UnsupportedConicRegimeError:

@@ -35,9 +35,10 @@ from qstarlike.classes import (
     t_form_rows,
     ts_membership,
 )
-from qstarlike.conic import ClassParams, conic_margin
+from qstarlike.conic import ClassParams, conic_margin, phi_weights
 from qstarlike.qcalc import symmetric_q_derivative, symmetric_q_number
 from qstarlike.series import (
+    DEFAULT_ORDER,
     GRID_ANGLES,
     GRID_RADII,
     TruncatedSeries,
@@ -79,7 +80,7 @@ class TestThreshold:
             coefficient_threshold(1, P_HALF)
 
     def test_phi_table_matches_threshold_denominator(self):
-        # threshold_denominator reads phi_table, so both meet the formula written out
+        # threshold_denominator reads phi_weights, so both meet the formula written out
         for p in (P_HALF, P_CLASSICAL, ClassParams(0.8, 0.5, 0.2)):
             for order in (1, 2, 16, 64):
                 phi = phi_table(p, order)
@@ -100,6 +101,40 @@ class TestThreshold:
             phi_table(p, 1024)
         with pytest.raises(OverflowError, match="phi_1024"):
             extremal_function(3, p, order=1024)
+
+
+class TestOneWeightTable:
+    """conic.phi_weights is the one table; phi_table is its array, not a second computation."""
+
+    QS = (0.5, 0.8, 0.95, 1.0)  # the benchmark's q values and regimes
+    REGIMES = ((0.0, 0.0), (0.0, 0.25), (1.0, 0.0), (1.0, 0.5), (0.5, 0.2), (2.0, 0.1))
+
+    @staticmethod
+    def _hex(values):
+        return [float.hex(v) for v in values]
+
+    def test_array_is_the_tuple_bit_for_bit(self):
+        cases = [(p, DEFAULT_ORDER) for p in default_parameter_points()]
+        cases += [(ClassParams(q, k, a), order) for order in (16, 32, 64)
+                  for q in self.QS for k, a in self.REGIMES]
+        for p, order in cases:
+            weights = phi_weights(p, order)
+            assert all(type(w) is float for w in weights)
+            assert self._hex(weights) == self._hex(phi_table(p, order).tolist())
+            # the same two IEEE operations the numpy table used to make
+            brackets = np.array([symmetric_q_number(n, p.q) for n in range(2, order + 1)])
+            assert self._hex(weights) == self._hex(
+                (brackets * (p.k + 1.0) - (p.k + p.alpha)).tolist())
+
+    def test_both_refuse_the_same_overflow(self):
+        p = ClassParams(0.5, 1.0, 0.0)
+        with pytest.raises(OverflowError) as from_tuple:
+            phi_weights(p, 1024)
+        with pytest.raises(OverflowError) as from_array:
+            phi_table(p, 1024)
+        assert str(from_tuple.value) == str(from_array.value)
+        assert str(from_tuple.value).startswith("phi_1024 = [1024]~_q (k+1) - (k+alpha) overflows "
+                                                "a double at q=0.5, k=1.0")
 
 
 class TestSufficientCondition:

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -381,6 +380,8 @@ class TestNonFiniteFlags:
           "--k", "0", "--alpha", "0"), "--mu-imag"),
         (("oracle", "--which", "h2", "--mu", "nan", "--q", "1", "--k", "0",
           "--alpha", "0"), "--mu"),
+        # read as --mu's value, not taken for an unknown option
+        (("fs-bound", "--mu", "-inf", "--q", "0.5", "--k", "0", "--alpha", "0"), "--mu"),
     ])
     def test_refused(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)
@@ -410,9 +411,26 @@ class TestNonFiniteFlags:
         assert_one_error_line(out, err, "phi_1024", "overflows")
 
 
+class TestNegativeExponentFlags:
+    # argparse alone reads only -1 and -.5 style text as negative numbers, so
+    # --mu -1e-3 used to end in "argument --mu: expected one argument"
+    @pytest.mark.parametrize("literal", ["-1e-3", "-1E+2", "-.5e1"])
+    @pytest.mark.parametrize("argv, echo", [
+        (("fs-bound", "--mu", "{}", "--q", "0.5", "--k", "0", "--alpha", "0"),
+         lambda params: params["mu"][0]),
+        (("oracle", "--which", "fs", "--mu", "0.5", "--mu-imag", "{}", "--q", "0.5", "--k", "0",
+          "--alpha", "0"), lambda params: params["mu"][1]),
+        (("qnum", "--n", "{}", "--q", "0.5"), lambda params: params["n"]),
+    ], ids=["mu", "mu-imag", "n"])
+    def test_is_the_flags_value(self, capsys, argv, echo, literal):
+        code, out, err = run_cli(capsys, *(a.format(literal) for a in argv), "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        assert echo(json.loads(out)["params"]) == float(literal)
+
+
 K1_FLAGS = ("--q", "0.5", "--k", "1", "--alpha", "0")
 K1_ECHO = {"q": 0.5, "k": 1.0, "alpha": 0.0}
-P_ECHO = dataclasses.asdict(conic_coefficients(1.0, 0.0))  # the built-in parabolic map
+P_ECHO = conic_coefficients(1.0, 0.0)._asdict()  # the built-in parabolic map
 FS_MU = ("--mu", "0.5", "--mu-imag", "0.25")
 ECHO_CASES = {
     # name: (argv, with {f} for a function file; the params echo, in order)
@@ -559,15 +577,22 @@ class TestEntryPoint:
         (("ledger", "--points", "{points}"), EXIT_ERROR, False),
         # and so are the conic flags, which must come as a full set
         (("ledger", "--P1", "1"), EXIT_ERROR, False),
+        # the extreme points and the envelopes are closed forms in conic
+        (("extremal", "--n", "3", "--q", "0.5", "--k", "1", "--alpha", "0", "--out", "{out}"),
+         EXIT_OK, False),
+        (("distortion", "--r", "0.5", "--q", "0.5", "--k", "1", "--alpha", "0",
+          "--format", "json"), EXIT_OK, False),
     ], ids=["version", "qnum", "deriv", "hankel-bound", "fs-bound", "bad-radius",
             "bad-extremal-index", "extremal-n-above-cap", "extremal-order-above-cap", "nan-n",
-            "member", "ledger-points-above-cap", "ledger-partial-P"])
+            "member", "ledger-points-above-cap", "ledger-partial-P", "extremal-out",
+            "distortion-json"])
     def test_closed_form_verbs_do_not_load_numpy(self, tmp_path, argv, code, numpy_loaded):
         fpath = write_function(tmp_path / "f.json", [1.0, 0.01])
         points = tmp_path / "points.json"
         points.write_text(POINTS_PAST_CAP)
         probe = (
             "import contextlib, io, json, sys\n"
+            "before = set(sys.modules)\n"
             "from qstarlike import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.redirect_stderr(io.StringIO()):\n"
@@ -575,13 +600,17 @@ class TestEntryPoint:
             "        code = cli.main(json.loads(sys.argv[1]))\n"
             "    except SystemExit as exc:\n"
             "        code = exc.code\n"
-            "print(json.dumps([code, 'numpy' in sys.modules]))\n"
+            "new = set(sys.modules) - before\n"
+            "print(json.dumps([code, 'numpy' in sys.modules, 'dataclasses' in new]))\n"
         )
-        argv = [a.format(f=fpath, points=points) for a in argv]
+        argv = [a.format(f=fpath, points=points, out=tmp_path / "out.json") for a in argv]
         proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [code, numpy_loaded]
+        got_code, got_numpy, new_dataclasses = json.loads(proc.stdout)
+        assert (got_code, got_numpy) == (code, numpy_loaded)
+        if not numpy_loaded:  # what numpy imports is not this package's to choose
+            assert new_dataclasses is False
 
     # each datum has one way in and one way out: P1..P3 only as flags, and a
     # ledger report only as --format X with --out or stdout

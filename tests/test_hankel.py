@@ -1,4 +1,4 @@
-import dataclasses
+import collections
 import math
 
 import numpy as np
@@ -167,7 +167,7 @@ class TestH2Bound:
     def test_degenerate_linear_case_matches_t0_form(self):
         # cP = 0 and cQ < 0: the maximum sits at t = 0 and equals P1^2/q3^2
         hq = hankel_quantities(conic_coefficients(1.0, 0.0), 0.5)
-        degenerate = dataclasses.replace(hq, cP=0.0, cQ=-5.0)
+        degenerate = hq._replace(cP=0.0, cQ=-5.0)
         P1 = conic_coefficients(1.0, 0.0).P1
         assert h2_bound_from_quantities(degenerate) == pytest.approx(
             P1**2 / hq.q3**2, rel=1e-12
@@ -285,8 +285,8 @@ class TestRefuseOverflow:
     def test_finite_result_passes_and_nested_fields_are_not_read(self):
         hq = HankelQuantities(**self.FIELDS)
         assert self._returning(hq)(P_KOEBE, 0.5) is hq
-        # a nested dataclass, like an oracle argmax, is not a result field: its inf is not read
-        nested = dataclasses.make_dataclass("Nested", [("value", float), ("inner", object)])
+        # a nested record, like an oracle argmax, is not a result field: its inf is not read
+        nested = collections.namedtuple("Nested", "value inner")
         result = nested(1.0, HankelQuantities(**{**self.FIELDS, "cP": math.inf}))
         assert self._returning(result)(P_KOEBE, 0.5) is result
         assert self._returning(1.5)(P_KOEBE, 0.5) == 1.5
